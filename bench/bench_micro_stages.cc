@@ -2,7 +2,9 @@
  * @file
  * Google-benchmark micro-benchmarks of the functional pipeline
  * stages: FlatCam capture, Tikhonov reconstruction, segmentation,
- * ROI prediction, and gaze inference. These time the host-side
+ * ROI prediction, and gaze inference, plus the six dense products of
+ * one FlatCam frame on the reference loop and on the CPU-dispatched
+ * blocked kernel (common/gemm.h). These time the host-side
  * reference implementations (the deployment latency numbers come
  * from the cycle-level simulator, not from these).
  *
@@ -16,8 +18,11 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
+#include "common/gemm.h"
 #include "common/perf_json.h"
+#include "common/rng.h"
 #include "eyetrack/pipeline.h"
 
 using namespace eyecod;
@@ -123,6 +128,56 @@ BM_FullFrame(benchmark::State &state)
             f.pipeline.processFrame(f.sample.image));
 }
 BENCHMARK(BM_FullFrame);
+
+/** One dense product C (m x n) = A (m x k) * B (k x n). */
+struct GemmShape
+{
+    size_t m, k, n;
+};
+
+/**
+ * The six products of one frame under the default 160x160 sensor,
+ * 128x128 scene mask: capture PhiL * X * PhiR^T, then reconstruction
+ * Ul^T * y * Ur and Vl * Xhat * Vr^T on the thin SVD.
+ */
+constexpr GemmShape kFlatCamChain[] = {
+    {160, 128, 128}, {160, 128, 160}, {128, 160, 160},
+    {128, 160, 128}, {128, 128, 128}, {128, 128, 128},
+};
+
+void
+BM_GemmChain(benchmark::State &state, gemm::Kernel kernel,
+             const char *label)
+{
+    Rng rng(2022);
+    std::vector<std::vector<double>> a, b, c;
+    double macs = 0.0;
+    for (const GemmShape &s : kFlatCamChain) {
+        a.emplace_back(s.m * s.k);
+        b.emplace_back(s.k * s.n);
+        c.emplace_back(s.m * s.n);
+        for (double &x : a.back())
+            x = rng.gaussian();
+        for (double &x : b.back())
+            x = rng.gaussian();
+        macs += double(s.m * s.k * s.n);
+    }
+    for (auto _ : state) {
+        for (size_t i = 0; i < c.size(); ++i) {
+            const GemmShape &s = kFlatCamChain[i];
+            kernel(a[i].data(), b[i].data(), c[i].data(), s.m, s.k, s.n);
+            benchmark::DoNotOptimize(c[i].data());
+        }
+        benchmark::ClobberMemory();
+    }
+    state.counters["GMAC/s"] = benchmark::Counter(
+        macs * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+    state.SetLabel(label);
+}
+BENCHMARK_CAPTURE(BM_GemmChain, Reference, gemm::gemmReference,
+                  "reference");
+BENCHMARK_CAPTURE(BM_GemmChain, Dispatched, gemm::dispatched().kernel,
+                  gemm::dispatched().isa);
 
 /**
  * Console reporter that additionally captures per-benchmark real

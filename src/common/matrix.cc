@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/gemm.h"
 #include "common/logging.h"
 
 namespace eyecod {
@@ -46,21 +47,8 @@ Matrix::multiplyInto(const Matrix &other, Matrix *out) const
                   "matrix product shape mismatch %zux%zu * %zux%zu",
                   rows_, cols_, other.rows_, other.cols_);
     out->resetShape(rows_, other.cols_);
-    // ikj loop order keeps the inner loop contiguous in both the
-    // right operand and the output. The zero-skip relies on
-    // resetShape zero-filling the output, exactly like a fresh
-    // Matrix.
-    for (size_t i = 0; i < rows_; ++i) {
-        for (size_t k = 0; k < cols_; ++k) {
-            const double aik = data_[i * cols_ + k];
-            if (aik == 0.0)
-                continue;
-            const double *brow = &other.data_[k * other.cols_];
-            double *orow = &out->data_[i * other.cols_];
-            for (size_t j = 0; j < other.cols_; ++j)
-                orow[j] += aik * brow[j];
-        }
-    }
+    gemm::multiply(data_.data(), other.data_.data(), out->data_.data(),
+                   rows_, cols_, other.cols_);
 }
 
 Matrix

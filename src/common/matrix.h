@@ -65,7 +65,8 @@ class Matrix
      * Matrix product this * other written into @p out, reusing
      * @p out's buffer (zero allocations in steady state).
      * Bitwise-identical to multiply(). @p out must not alias either
-     * operand.
+     * operand. Runs the CPU-dispatched blocked kernel of
+     * common/gemm.h, bitwise-identical on every ISA.
      */
     void multiplyInto(const Matrix &other, Matrix *out) const;
 
