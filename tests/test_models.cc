@@ -125,6 +125,13 @@ struct ModelCase
     int h, w;
 };
 
+/** Prints the case by name: gtest's default byte dump holds the
+ *  pointers, which change every run, and ctest names tests by it. */
+void PrintTo(const ModelCase &mc, std::ostream *os)
+{
+    *os << mc.name;
+}
+
 class AllModels : public ::testing::TestWithParam<ModelCase>
 {
 };
