@@ -146,6 +146,7 @@ main(int argc, char **argv)
 {
     const std::string json_path =
         argc > 1 ? argv[1] : "BENCH_accel_resilience.json";
+    PerfJson json = PerfJson::load(json_path);
 
     const auto workloads =
         buildPipelineWorkload(PipelineWorkloadConfig{});
@@ -160,11 +161,9 @@ main(int argc, char **argv)
         return 1;
     }
     const PerfReport &base = clean.value();
-    PerfJson::update(json_path, "clean", "fps", base.fps);
-    PerfJson::update(json_path, "clean", "utilization",
-                     base.utilization);
-    PerfJson::update(json_path, "clean", "energy_per_frame_j",
-                     base.energy_per_frame_j);
+    json.set("clean", "fps", base.fps);
+    json.set("clean", "utilization", base.utilization);
+    json.set("clean", "energy_per_frame_j", base.energy_per_frame_j);
 
     // --- Zero-rate identity: the faulted path must be bitwise
     // identical to the clean simulation. ---
@@ -178,8 +177,7 @@ main(int argc, char **argv)
             r.value().energy_per_frame_j == base.energy_per_frame_j &&
             r.value().power_w == base.power_w;
         all_ok = all_ok && identical;
-        PerfJson::update(json_path, "acceptance",
-                         "zero_rate_identity", identical ? 1.0 : 0.0);
+        json.set("acceptance", "zero_rate_identity", identical ? 1.0 : 0.0);
     }
 
     // --- Perf sweep: retired lanes under a mixed transient load. ---
@@ -198,6 +196,7 @@ main(int argc, char **argv)
         if (!r.ok()) {
             std::fprintf(stderr, "retired=%d failed: %s\n", retired,
                          r.status().toString().c_str());
+            json.write(json_path);
             return 1;
         }
         const PerfReport &p = r.value();
@@ -225,28 +224,20 @@ main(int argc, char **argv)
         char section[32];
         std::snprintf(section, sizeof(section), "retired_%d",
                       retired);
-        PerfJson::update(json_path, section, "fps", p.fps);
-        PerfJson::update(json_path, section, "fps_ratio", fps_ratio);
-        PerfJson::update(json_path, section, "lane_ratio",
-                         lane_ratio);
-        PerfJson::update(json_path, section, "utilization",
-                         p.utilization);
-        PerfJson::update(json_path, section, "active_lanes",
-                         double(p.active_lanes));
-        PerfJson::update(json_path, section, "ecc_corrected",
-                         double(ecc.corrected));
-        PerfJson::update(json_path, section,
-                         "ecc_detected_uncorrectable",
-                         double(ecc.detected_uncorrectable));
-        PerfJson::update(json_path, section, "ecc_silent",
-                         double(ecc.silent));
-        PerfJson::update(json_path, section, "energy_per_frame_j",
-                         p.energy_per_frame_j);
+        json.set(section, "fps", p.fps);
+        json.set(section, "fps_ratio", fps_ratio);
+        json.set(section, "lane_ratio", lane_ratio);
+        json.set(section, "utilization", p.utilization);
+        json.set(section, "active_lanes", double(p.active_lanes));
+        json.set(section, "ecc_corrected", double(ecc.corrected));
+        json.set(section, "ecc_detected_uncorrectable",
+                 double(ecc.detected_uncorrectable));
+        json.set(section, "ecc_silent", double(ecc.silent));
+        json.set(section, "energy_per_frame_j", p.energy_per_frame_j);
     }
     all_ok = all_ok && retirement_ok;
-    PerfJson::update(json_path, "acceptance",
-                     "retirement_proportional",
-                     retirement_ok ? 1.0 : 0.0);
+    json.set("acceptance", "retirement_proportional",
+             retirement_ok ? 1.0 : 0.0);
 
     // --- Per-kind sweep: each fault kind alone, low and high rate. ---
     struct KindSpec
@@ -281,6 +272,7 @@ main(int argc, char **argv)
             if (!r.ok()) {
                 std::fprintf(stderr, "%s@%g failed: %s\n", kind.name,
                              rate, r.status().toString().c_str());
+                json.write(json_path);
                 return 1;
             }
             const EccCounters ecc = accumulateEcc(inj);
@@ -299,15 +291,11 @@ main(int argc, char **argv)
             std::snprintf(section, sizeof(section), "kind_%s_%dpct",
                           kind.name,
                           int(std::lround(rate * 100.0)));
-            PerfJson::update(json_path, section, "fps",
-                             r.value().fps);
-            PerfJson::update(json_path, section, "fps_ratio",
-                             fps_ratio);
-            PerfJson::update(json_path, section, "silent_events",
-                             double(silent));
-            PerfJson::update(json_path, section,
-                             "ecc_overhead_cycles",
-                             double(ecc.overhead_cycles));
+            json.set(section, "fps", r.value().fps);
+            json.set(section, "fps_ratio", fps_ratio);
+            json.set(section, "silent_events", double(silent));
+            json.set(section, "ecc_overhead_cycles",
+                     double(ecc.overhead_cycles));
         }
     }
 
@@ -365,14 +353,10 @@ main(int argc, char **argv)
                      {"functional_ecc_on", &fecc},
                      {"functional_ecc_off", &fraw}};
     for (const auto &row : func_rows) {
-        PerfJson::update(json_path, row.section, "miou",
-                         row.run->miou);
-        PerfJson::update(json_path, row.section, "gaze_error_deg",
-                         row.run->gaze_error_deg);
-        PerfJson::update(json_path, row.section, "seg_agreement_miou",
-                         row.run->seg_agreement);
-        PerfJson::update(json_path, row.section, "gaze_shift_deg",
-                         row.run->gaze_shift_deg);
+        json.set(row.section, "miou", row.run->miou);
+        json.set(row.section, "gaze_error_deg", row.run->gaze_error_deg);
+        json.set(row.section, "seg_agreement_miou", row.run->seg_agreement);
+        json.set(row.section, "gaze_shift_deg", row.run->gaze_shift_deg);
     }
 
     // Acceptance: ECC + <= 4 retired lanes keeps gaze error within
@@ -383,11 +367,8 @@ main(int argc, char **argv)
             : 1.0;
     const bool gaze_ok = gaze_ratio <= 1.5;
     all_ok = all_ok && gaze_ok;
-    PerfJson::update(json_path, "acceptance", "gaze_error_ratio",
-                     gaze_ratio);
-    PerfJson::update(json_path, "acceptance",
-                     "gaze_within_1p5x_with_ecc",
-                     gaze_ok ? 1.0 : 0.0);
+    json.set("acceptance", "gaze_error_ratio", gaze_ratio);
+    json.set("acceptance", "gaze_within_1p5x_with_ecc", gaze_ok ? 1.0 : 0.0);
 
     std::printf(
         "=== Accelerator resilience: lane retirement + mixed "
@@ -402,5 +383,6 @@ main(int argc, char **argv)
         kCounterFrames, kind_t.render().c_str(), kFunctionalFrames,
         func_t.render().c_str(), gaze_ratio,
         all_ok ? "PASS" : "FAIL", json_path.c_str());
+    json.write(json_path);
     return all_ok ? 0 : 1;
 }

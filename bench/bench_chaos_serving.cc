@@ -91,6 +91,7 @@ main(int argc, char **argv)
         else
             json_path = argv[i];
     }
+    PerfJson json = PerfJson::load(json_path);
 
     const int sessions = 16;
     const int chips = 4;
@@ -205,84 +206,53 @@ main(int argc, char **argv)
     t.addRow({"recovered", std::to_string(recovered.size()),
               formatDouble(recovered_p99, 0)});
 
-    PerfJson::update(json_path, "chaos", "sessions", double(sessions));
-    PerfJson::update(json_path, "chaos", "chips", double(chips));
-    PerfJson::update(json_path, "chaos", "frames_per_session",
-                     double(frames));
-    PerfJson::update(json_path, "chaos", "fail_us", double(t_fail));
-    PerfJson::update(json_path, "chaos", "rejoin_us",
-                     double(t_rejoin));
-    PerfJson::update(json_path, "chaos", "submitted",
-                     double(f.submitted));
-    PerfJson::update(json_path, "chaos", "completed",
-                     double(f.completed));
-    PerfJson::update(json_path, "chaos", "queue_drops",
-                     double(f.queue_drops));
-    PerfJson::update(json_path, "chaos", "drops_backpressure",
-                     double(f.drops_backpressure));
-    PerfJson::update(json_path, "chaos", "drops_shed_on_close",
-                     double(f.drops_shed_on_close));
-    PerfJson::update(json_path, "chaos", "drops_rate_downgrade",
-                     double(f.drops_rate_downgrade));
-    PerfJson::update(json_path, "chaos", "drops_failover",
-                     double(f.drops_failover));
-    PerfJson::update(json_path, "chaos", "deadline_misses",
-                     double(f.deadline_misses));
-    PerfJson::update(json_path, "chaos", "chip_failures",
-                     double(f.chip_failures));
-    PerfJson::update(json_path, "chaos", "chip_rejoins",
-                     double(f.chip_rejoins));
-    PerfJson::update(json_path, "chaos", "redispatched_frames",
-                     double(f.redispatched_frames));
-    PerfJson::update(json_path, "chaos", "degraded_res_frames",
-                     double(f.degraded_res_frames));
-    PerfJson::update(json_path, "chaos", "tier_transitions",
-                     double(f.tier_transitions));
+    json.set("chaos", "sessions", double(sessions));
+    json.set("chaos", "chips", double(chips));
+    json.set("chaos", "frames_per_session", double(frames));
+    json.set("chaos", "fail_us", double(t_fail));
+    json.set("chaos", "rejoin_us", double(t_rejoin));
+    json.set("chaos", "submitted", double(f.submitted));
+    json.set("chaos", "completed", double(f.completed));
+    json.set("chaos", "queue_drops", double(f.queue_drops));
+    json.set("chaos", "drops_backpressure", double(f.drops_backpressure));
+    json.set("chaos", "drops_shed_on_close", double(f.drops_shed_on_close));
+    json.set("chaos", "drops_rate_downgrade", double(f.drops_rate_downgrade));
+    json.set("chaos", "drops_failover", double(f.drops_failover));
+    json.set("chaos", "deadline_misses", double(f.deadline_misses));
+    json.set("chaos", "chip_failures", double(f.chip_failures));
+    json.set("chaos", "chip_rejoins", double(f.chip_rejoins));
+    json.set("chaos", "redispatched_frames", double(f.redispatched_frames));
+    json.set("chaos", "degraded_res_frames", double(f.degraded_res_frames));
+    json.set("chaos", "tier_transitions", double(f.tier_transitions));
     for (int tier = 0; tier <= kNumDegradationTiers; ++tier) {
         char key[40];
         std::snprintf(key, sizeof(key), "tier%d_residency_ticks",
                       tier);
-        PerfJson::update(json_path, "chaos", key,
-                         double(f.tier_residency[tier]));
+        json.set("chaos", key, double(f.tier_residency[tier]));
     }
-    PerfJson::update(json_path, "chaos", "aggregate_fps",
-                     f.aggregate_fps);
-    PerfJson::update(json_path, "chaos", "p50_latency_us",
-                     f.p50_latency_us);
-    PerfJson::update(json_path, "chaos", "p99_latency_us",
-                     f.p99_latency_us);
-    PerfJson::update(json_path, "chaos", "p999_latency_us",
-                     f.p999_latency_us);
-    PerfJson::update(json_path, "chaos", "failover_p99_latency_us",
-                     f.failover_p99_latency_us);
-    PerfJson::update(json_path, "chaos", "pre_fault_p99_us", pre_p99);
-    PerfJson::update(json_path, "chaos", "outage_p99_us", outage_p99);
-    PerfJson::update(json_path, "chaos", "recovered_p99_us",
-                     recovered_p99);
-    PerfJson::update(json_path, "chaos", "recovery_ratio",
-                     recovery_ratio);
-    PerfJson::update(json_path, "chaos", "completion_log_dropped",
-                     double(eng.completionLogDropped()));
+    json.set("chaos", "aggregate_fps", f.aggregate_fps);
+    json.set("chaos", "p50_latency_us", f.p50_latency_us);
+    json.set("chaos", "p99_latency_us", f.p99_latency_us);
+    json.set("chaos", "p999_latency_us", f.p999_latency_us);
+    json.set("chaos", "failover_p99_latency_us", f.failover_p99_latency_us);
+    json.set("chaos", "pre_fault_p99_us", pre_p99);
+    json.set("chaos", "outage_p99_us", outage_p99);
+    json.set("chaos", "recovered_p99_us", recovered_p99);
+    json.set("chaos", "recovery_ratio", recovery_ratio);
+    json.set("chaos", "completion_log_dropped",
+             double(eng.completionLogDropped()));
 
-    PerfJson::update(json_path, "acceptance",
-                     "zero_session_terminations",
-                     zero_terminations ? 1.0 : 0.0);
-    PerfJson::update(json_path, "acceptance", "finite_gaze",
-                     finite_gaze ? 1.0 : 0.0);
-    PerfJson::update(json_path, "acceptance", "chip_kill_exercised",
-                     kill_exercised ? 1.0 : 0.0);
-    PerfJson::update(json_path, "acceptance",
-                     "p99_recovery_within_refresh_window",
-                     p99_recovered ? 1.0 : 0.0);
-    PerfJson::update(json_path, "acceptance", "ladder_round_trip",
-                     ladder_round_trip ? 1.0 : 0.0);
-    PerfJson::update(json_path, "acceptance", "accounting_identity",
-                     accounting_ok ? 1.0 : 0.0);
-    PerfJson::update(json_path, "acceptance",
-                     "zero_fault_bitwise_identity",
-                     zero_fault_identity ? 1.0 : 0.0);
-    PerfJson::update(json_path, "acceptance", "quick_mode",
-                     quick ? 1.0 : 0.0);
+    json.set("acceptance", "zero_session_terminations",
+             zero_terminations ? 1.0 : 0.0);
+    json.set("acceptance", "finite_gaze", finite_gaze ? 1.0 : 0.0);
+    json.set("acceptance", "chip_kill_exercised", kill_exercised ? 1.0 : 0.0);
+    json.set("acceptance", "p99_recovery_within_refresh_window",
+             p99_recovered ? 1.0 : 0.0);
+    json.set("acceptance", "ladder_round_trip", ladder_round_trip ? 1.0 : 0.0);
+    json.set("acceptance", "accounting_identity", accounting_ok ? 1.0 : 0.0);
+    json.set("acceptance", "zero_fault_bitwise_identity",
+             zero_fault_identity ? 1.0 : 0.0);
+    json.set("acceptance", "quick_mode", quick ? 1.0 : 0.0);
 
     const bool all_ok = zero_terminations && finite_gaze &&
                         kill_exercised && p99_recovered &&
@@ -318,5 +288,6 @@ main(int argc, char **argv)
         accounting_ok ? "ok" : "FAIL",
         zero_fault_identity ? "ok" : "FAIL",
         all_ok ? "PASS" : "FAIL", json_path.c_str());
+    json.write(json_path);
     return all_ok ? 0 : 1;
 }

@@ -199,6 +199,7 @@ main(int argc, char **argv)
         else
             json_path = argv[i];
     }
+    PerfJson json = PerfJson::load(json_path);
 
     const int sessions = 16;
     const int chips = 4;
@@ -335,50 +336,38 @@ main(int argc, char **argv)
         char key[64];
         std::snprintf(key, sizeof(key), "cadence_%lld_snapshots",
                       cr.cadence_us);
-        PerfJson::update(json_path, "recovery", key,
-                         double(cr.snapshots));
+        json.set("recovery", key, double(cr.snapshots));
         std::snprintf(key, sizeof(key), "cadence_%lld_snapshot_bytes",
                       cr.cadence_us);
-        PerfJson::update(json_path, "recovery", key,
-                         cr.snapshot_bytes);
+        json.set("recovery", key, cr.snapshot_bytes);
         std::snprintf(key, sizeof(key), "cadence_%lld_save_total_us",
                       cr.cadence_us);
-        PerfJson::update(json_path, "recovery", key,
-                         cr.save_total_us);
+        json.set("recovery", key, cr.save_total_us);
         std::snprintf(key, sizeof(key), "cadence_%lld_restore_us",
                       cr.cadence_us);
-        PerfJson::update(json_path, "recovery", key, cr.restore_us);
+        json.set("recovery", key, cr.restore_us);
         std::snprintf(key, sizeof(key), "cadence_%lld_replay_us",
                       cr.cadence_us);
-        PerfJson::update(json_path, "recovery", key, cr.replay_us);
+        json.set("recovery", key, cr.replay_us);
         std::snprintf(key, sizeof(key), "cadence_%lld_recovery_us",
                       cr.cadence_us);
-        PerfJson::update(json_path, "recovery", key,
-                         cr.restore_us + cr.replay_us);
+        json.set("recovery", key, cr.restore_us + cr.replay_us);
     }
 
-    PerfJson::update(json_path, "recovery", "sessions",
-                     double(sessions));
-    PerfJson::update(json_path, "recovery", "chips", double(chips));
-    PerfJson::update(json_path, "recovery", "frames_per_session",
-                     double(frames));
-    PerfJson::update(json_path, "recovery", "kill_us",
-                     double(t_kill));
-    PerfJson::update(json_path, "recovery", "baseline_wall_us",
-                     baseline_us);
+    json.set("recovery", "sessions", double(sessions));
+    json.set("recovery", "chips", double(chips));
+    json.set("recovery", "frames_per_session", double(frames));
+    json.set("recovery", "kill_us", double(t_kill));
+    json.set("recovery", "baseline_wall_us", baseline_us);
 
-    PerfJson::update(json_path, "acceptance",
-                     "bitwise_identity_all_cadences",
-                     all_identical ? 1.0 : 0.0);
-    PerfJson::update(json_path, "acceptance", "crash_state_rich",
-                     crash_state_rich ? 1.0 : 0.0);
-    PerfJson::update(json_path, "acceptance",
-                     "corrupt_snapshot_typed_error",
-                     corrupt_typed ? 1.0 : 0.0);
-    PerfJson::update(json_path, "acceptance", "snapshots_nontrivial",
-                     snapshots_nontrivial ? 1.0 : 0.0);
-    PerfJson::update(json_path, "acceptance", "quick_mode",
-                     quick ? 1.0 : 0.0);
+    json.set("acceptance", "bitwise_identity_all_cadences",
+             all_identical ? 1.0 : 0.0);
+    json.set("acceptance", "crash_state_rich", crash_state_rich ? 1.0 : 0.0);
+    json.set("acceptance", "corrupt_snapshot_typed_error",
+             corrupt_typed ? 1.0 : 0.0);
+    json.set("acceptance", "snapshots_nontrivial",
+             snapshots_nontrivial ? 1.0 : 0.0);
+    json.set("acceptance", "quick_mode", quick ? 1.0 : 0.0);
 
     const bool all_ok = all_identical && crash_state_rich &&
                         corrupt_typed && snapshots_nontrivial;
@@ -398,5 +387,6 @@ main(int argc, char **argv)
         corrupt_typed ? "ok" : "FAIL",
         snapshots_nontrivial ? "ok" : "FAIL",
         all_ok ? "PASS" : "FAIL", json_path.c_str());
+    json.write(json_path);
     return all_ok ? 0 : 1;
 }

@@ -82,6 +82,7 @@ main(int argc, char **argv)
         else
             json_path = argv[i];
     }
+    PerfJson json = PerfJson::load(json_path);
 
     bool ok = true;
 
@@ -111,16 +112,11 @@ main(int argc, char **argv)
                 rep.paper_exact ? "yes" : "NO");
     ok = ok && rep.passed();
 
-    PerfJson::update(json_path, "validation", "cases",
-                     double(rep.cases.size()));
-    PerfJson::update(json_path, "validation", "max_latency_rel_err",
-                     rep.max_latency_rel_err);
-    PerfJson::update(json_path, "validation", "max_energy_rel_err",
-                     rep.max_energy_rel_err);
-    PerfJson::update(json_path, "validation", "paper_exact",
-                     rep.paper_exact ? 1.0 : 0.0);
-    PerfJson::update(json_path, "validation", "passed",
-                     rep.passed() ? 1.0 : 0.0);
+    json.set("validation", "cases", double(rep.cases.size()));
+    json.set("validation", "max_latency_rel_err", rep.max_latency_rel_err);
+    json.set("validation", "max_energy_rel_err", rep.max_energy_rel_err);
+    json.set("validation", "paper_exact", rep.paper_exact ? 1.0 : 0.0);
+    json.set("validation", "passed", rep.passed() ? 1.0 : 0.0);
 
     // --- 2. Pareto search over the default lattice ---
     Result<dse::SearchResult> search =
@@ -128,6 +124,7 @@ main(int argc, char **argv)
     if (!search.ok()) {
         std::printf("pareto search failed: %s\n",
                     search.status().toString().c_str());
+        json.write(json_path);
         return 1;
     }
     const dse::SearchResult &sr = search.value();
@@ -159,30 +156,22 @@ main(int argc, char **argv)
     ok = ok && sr.paper_on_front && accounting_ok &&
          !sr.front.empty();
 
-    PerfJson::update(json_path, "search", "lattice_size",
-                     double(sr.lattice_size));
-    PerfJson::update(json_path, "search", "evaluated",
-                     double(sr.evaluated));
-    PerfJson::update(json_path, "search", "pruned_infeasible",
-                     double(sr.pruned_infeasible));
-    PerfJson::update(json_path, "search", "pruned_monotone",
-                     double(sr.pruned_monotone));
-    PerfJson::update(json_path, "search", "front_size",
-                     double(sr.front.size()));
-    PerfJson::update(json_path, "search", "paper_on_front",
-                     sr.paper_on_front ? 1.0 : 0.0);
+    json.set("search", "lattice_size", double(sr.lattice_size));
+    json.set("search", "evaluated", double(sr.evaluated));
+    json.set("search", "pruned_infeasible", double(sr.pruned_infeasible));
+    json.set("search", "pruned_monotone", double(sr.pruned_monotone));
+    json.set("search", "front_size", double(sr.front.size()));
+    json.set("search", "paper_on_front", sr.paper_on_front ? 1.0 : 0.0);
     if (sr.paper_index >= 0) {
         const dse::DesignPoint &p =
             sr.points[size_t(sr.paper_index)];
-        PerfJson::update(json_path, "paper_point", "fps", p.est.fps);
-        PerfJson::update(json_path, "paper_point",
-                         "energy_per_frame_uj",
-                         p.est.energy_per_frame_j * 1e6);
-        PerfJson::update(json_path, "paper_point", "sram_kib",
-                         double(p.est.sram_total_bytes / 1024));
-        PerfJson::update(json_path, "paper_point",
-                         "partition_factor",
-                         double(p.est.partition_factor));
+        json.set("paper_point", "fps", p.est.fps);
+        json.set("paper_point", "energy_per_frame_uj",
+                 p.est.energy_per_frame_j * 1e6);
+        json.set("paper_point", "sram_kib",
+                 double(p.est.sram_total_bytes / 1024));
+        json.set("paper_point", "partition_factor",
+                 double(p.est.partition_factor));
     }
     // One section per front point: the front itself, in the same
     // mergeable JSON the perf-trajectory tooling reads.
@@ -190,21 +179,15 @@ main(int argc, char **argv)
         const dse::DesignPoint &p = sr.points[sr.front[rank]];
         char section[32];
         std::snprintf(section, sizeof(section), "front_%02zu", rank);
-        PerfJson::update(json_path, section, "mac_lanes",
-                         double(p.hw.mac_lanes));
-        PerfJson::update(json_path, section, "macs_per_lane",
-                         double(p.hw.macs_per_lane));
-        PerfJson::update(json_path, section, "act_gb_kib",
-                         double(p.hw.act_gb_bytes / 1024));
-        PerfJson::update(json_path, section, "act_gb_banks",
-                         double(p.hw.act_gb_banks));
-        PerfJson::update(json_path, section, "fps", p.est.fps);
-        PerfJson::update(json_path, section, "energy_per_frame_uj",
-                         p.est.energy_per_frame_j * 1e6);
-        PerfJson::update(json_path, section, "sram_kib",
-                         double(p.est.sram_total_bytes / 1024));
-        PerfJson::update(json_path, section, "is_paper",
-                         p.is_paper ? 1.0 : 0.0);
+        json.set(section, "mac_lanes", double(p.hw.mac_lanes));
+        json.set(section, "macs_per_lane", double(p.hw.macs_per_lane));
+        json.set(section, "act_gb_kib", double(p.hw.act_gb_bytes / 1024));
+        json.set(section, "act_gb_banks", double(p.hw.act_gb_banks));
+        json.set(section, "fps", p.est.fps);
+        json.set(section, "energy_per_frame_uj",
+                 p.est.energy_per_frame_j * 1e6);
+        json.set(section, "sram_kib", double(p.est.sram_total_bytes / 1024));
+        json.set(section, "is_paper", p.is_paper ? 1.0 : 0.0);
     }
 
     // --- 3a. ServiceModel parity: estimator vs schedule ---
@@ -243,11 +226,9 @@ main(int argc, char **argv)
     ok = ok && model_identical && res_factor.ok() &&
          predicted_factor > 0.0 && predicted_factor <= 1.0;
 
-    PerfJson::update(json_path, "serve_cost_model",
-                     "model_bitwise_identical",
-                     model_identical ? 1.0 : 0.0);
-    PerfJson::update(json_path, "serve_cost_model",
-                     "resolution_cost_factor", predicted_factor);
+    json.set("serve_cost_model", "model_bitwise_identical",
+             model_identical ? 1.0 : 0.0);
+    json.set("serve_cost_model", "resolution_cost_factor", predicted_factor);
 
     // --- 3b. Below-saturation serving run, legacy vs estimator ---
     {
@@ -273,15 +254,14 @@ main(int argc, char **argv)
                     serving_identical ? "yes" : "NO",
                     legacy.completed, legacy.makespan_us);
         ok = ok && serving_identical;
-        PerfJson::update(json_path, "serve_cost_model",
-                         "serving_bitwise_identical",
-                         serving_identical ? 1.0 : 0.0);
-        PerfJson::update(json_path, "serve_cost_model",
-                         "cross_check_completed",
-                         double(legacy.completed));
+        json.set("serve_cost_model", "serving_bitwise_identical",
+                 serving_identical ? 1.0 : 0.0);
+        json.set("serve_cost_model", "cross_check_completed",
+                 double(legacy.completed));
     }
 
     std::printf("%s\n", ok ? "ALL DSE GATES PASSED"
                            : "DSE GATE FAILURES (see above)");
+    json.write(json_path);
     return ok ? 0 : 1;
 }

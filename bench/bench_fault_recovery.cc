@@ -113,6 +113,7 @@ main(int argc, char **argv)
 {
     const std::string json_path =
         argc > 1 ? argv[1] : "BENCH_robustness.json";
+    PerfJson json = PerfJson::load(json_path);
 
     dataset::RenderConfig rc;
     rc.image_size = kSceneSize;
@@ -131,11 +132,9 @@ main(int argc, char **argv)
     const double clean_tail_error =
         clean.meanError(kOutageFrames, kTotalFrames);
 
-    PerfJson::update(json_path, "clean", "error_deg", clean_error);
-    PerfJson::update(json_path, "clean", "tail_error_deg",
-                     clean_tail_error);
-    PerfJson::update(json_path, "clean", "frames",
-                     double(kTotalFrames));
+    json.set("clean", "error_deg", clean_error);
+    json.set("clean", "tail_error_deg", clean_tail_error);
+    json.set("clean", "frames", double(kTotalFrames));
 
     TextTable t({"fault rate", "outage err", "recovery err",
                  "recovery ratio", "degraded %", "dropped", "faults",
@@ -185,29 +184,22 @@ main(int argc, char **argv)
         char section[32];
         std::snprintf(section, sizeof(section), "mixed_%dpct",
                       int(std::lround(rate * 100.0)));
-        PerfJson::update(json_path, section, "outage_error_deg",
-                         outage_error);
-        PerfJson::update(json_path, section, "recovery_error_deg",
-                         recovery_error);
-        PerfJson::update(json_path, section, "recovery_ratio", ratio);
-        PerfJson::update(json_path, section, "degraded_fraction",
-                         double(run.health.degraded_frames) /
-                             double(run.health.frames));
-        PerfJson::update(json_path, section, "dropped_frames",
-                         double(run.health.dropped_frames));
-        PerfJson::update(json_path, section, "faults_injected",
-                         double(totalFaults(run.health)));
-        PerfJson::update(json_path, section, "watchdog_retries",
-                         double(run.health.watchdog_retries));
-        PerfJson::update(json_path, section,
-                         "mean_recovery_latency_frames",
-                         run.mean_recovery_latency);
-        PerfJson::update(json_path, section, "all_gaze_finite",
-                         run.all_finite ? 1.0 : 0.0);
+        json.set(section, "outage_error_deg", outage_error);
+        json.set(section, "recovery_error_deg", recovery_error);
+        json.set(section, "recovery_ratio", ratio);
+        json.set(section, "degraded_fraction",
+                 double(run.health.degraded_frames) /
+                 double(run.health.frames));
+        json.set(section, "dropped_frames", double(run.health.dropped_frames));
+        json.set(section, "faults_injected", double(totalFaults(run.health)));
+        json.set(section, "watchdog_retries",
+                 double(run.health.watchdog_retries));
+        json.set(section, "mean_recovery_latency_frames",
+                 run.mean_recovery_latency);
+        json.set(section, "all_gaze_finite", run.all_finite ? 1.0 : 0.0);
     }
 
-    PerfJson::update(json_path, "acceptance",
-                     "recovered_within_1p25x", all_ok ? 1.0 : 0.0);
+    json.set("acceptance", "recovered_within_1p25x", all_ok ? 1.0 : 0.0);
 
     std::printf("=== Fault recovery: mixed-fault outage (%d frames) "
                 "+ clean tail ===\n"
@@ -220,5 +212,6 @@ main(int argc, char **argv)
                 kOutageFrames, clean_error, clean_tail_error,
                 kRoiRefresh, t.render().c_str(),
                 all_ok ? "PASS" : "FAIL", json_path.c_str());
+    json.write(json_path);
     return all_ok ? 0 : 1;
 }

@@ -4,7 +4,8 @@
  * stages: FlatCam capture, Tikhonov reconstruction, segmentation,
  * ROI prediction, and gaze inference, plus the six dense products of
  * one FlatCam frame on the reference loop and on the CPU-dispatched
- * blocked kernel (common/gemm.h). These time the host-side
+ * blocked kernel (common/gemm.h), and the build of the accelerator
+ * workload (model graphs, shapes only). These time the host-side
  * reference implementations (the deployment latency numbers come
  * from the cycle-level simulator, not from these).
  *
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "accel/workload.h"
 #include "common/gemm.h"
 #include "common/perf_json.h"
 #include "common/rng.h"
@@ -180,6 +182,19 @@ BENCHMARK_CAPTURE(BM_GemmChain, Dispatched, gemm::dispatched().kernel,
                   gemm::dispatched().isa);
 
 /**
+ * The default accelerator workload: RITNet and FBNet-C100 graphs plus
+ * the reconstruction layers, of which only the shapes are read.
+ */
+void
+BM_BuildPipelineWorkload(benchmark::State &state)
+{
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            accel::buildPipelineWorkload(accel::PipelineWorkloadConfig{}));
+}
+BENCHMARK(BM_BuildPipelineWorkload);
+
+/**
  * Console reporter that additionally captures per-benchmark real
  * time (milliseconds per iteration) for the JSON perf store.
  */
@@ -221,8 +236,10 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
 
+    const std::string json_path = "BENCH_runtime.json";
+    PerfJson json = PerfJson::load(json_path);
     for (const auto &[name, ms] : reporter.captured())
-        PerfJson::update("BENCH_runtime.json", "micro_stages", name,
-                         ms);
+        json.set("micro_stages", name, ms);
+    json.write(json_path);
     return 0;
 }

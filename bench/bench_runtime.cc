@@ -160,7 +160,7 @@ struct Case
 };
 
 void
-runCase(const Case &c, const std::string &json_path)
+runCase(const Case &c, PerfJson &json)
 {
     const models::ZooEntry &entry = models::findModel(c.model);
     const nn::Graph graph = entry.build(c.height, c.width, 0);
@@ -228,27 +228,20 @@ runCase(const Case &c, const std::string &json_path)
                 (unsigned long long)steady_allocs,
                 AllocCounter::hooksInstalled() ? "" : " (no hooks)");
 
-    PerfJson::update(json_path, c.section, "seed_eager_ms", seed_ms);
-    PerfJson::update(json_path, c.section, "eager_ms", eager_ms);
-    PerfJson::update(json_path, c.section, "serial_ms", serial_ms);
-    PerfJson::update(json_path, c.section, "threaded_ms",
-                     threaded_ms);
-    PerfJson::update(json_path, c.section, "threads",
-                     double(threaded.threadCount()));
-    PerfJson::update(json_path, c.section, "speedup_vs_seed_eager",
-                     seed_ms / best_ms);
-    PerfJson::update(json_path, c.section, "arena_slots",
-                     double(stats.arena_slots));
-    PerfJson::update(json_path, c.section, "arena_elements",
-                     double(stats.arena_elements));
-    PerfJson::update(json_path, c.section, "peak_live_elements",
-                     double(stats.peak_live_elements));
-    PerfJson::update(json_path, c.section, "eager_elements",
-                     double(stats.eager_elements));
-    PerfJson::update(json_path, c.section, "steady_allocs_per_inference",
-                     double(steady_allocs));
-    PerfJson::update(json_path, c.section, "alloc_hooks_installed",
-                     AllocCounter::hooksInstalled() ? 1.0 : 0.0);
+    json.set(c.section, "seed_eager_ms", seed_ms);
+    json.set(c.section, "eager_ms", eager_ms);
+    json.set(c.section, "serial_ms", serial_ms);
+    json.set(c.section, "threaded_ms", threaded_ms);
+    json.set(c.section, "threads", double(threaded.threadCount()));
+    json.set(c.section, "speedup_vs_seed_eager", seed_ms / best_ms);
+    json.set(c.section, "arena_slots", double(stats.arena_slots));
+    json.set(c.section, "arena_elements", double(stats.arena_elements));
+    json.set(c.section, "peak_live_elements",
+             double(stats.peak_live_elements));
+    json.set(c.section, "eager_elements", double(stats.eager_elements));
+    json.set(c.section, "steady_allocs_per_inference", double(steady_allocs));
+    json.set(c.section, "alloc_hooks_installed",
+             AllocCounter::hooksInstalled() ? 1.0 : 0.0);
 }
 
 } // namespace
@@ -270,8 +263,10 @@ main(int argc, char **argv)
         // FBNet-C100 at the deployment ROI extent.
         {"runtime_fbnet96x160", "fbnet", 96, 160, 3, 5},
     };
+    PerfJson json = PerfJson::load(json_path);
     for (const Case &c : cases)
-        runCase(c, json_path);
+        runCase(c, json);
+    json.write(json_path);
 
     std::printf("wrote %s\n", json_path.c_str());
     return 0;

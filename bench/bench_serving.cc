@@ -126,6 +126,11 @@ main(int argc, char **argv)
         paths.size() > 0 ? paths[0] : "BENCH_serving.json";
     const std::string memory_json_path =
         paths.size() > 1 ? paths[1] : "BENCH_memory.json";
+    PerfJson json = PerfJson::load(json_path);
+    PerfJson memory_doc = PerfJson::load(memory_json_path);
+    // One document when both paths name the same file.
+    PerfJson &memory_json =
+        memory_json_path == json_path ? json : memory_doc;
 
     const std::vector<int> session_counts =
         quick ? std::vector<int>{1, 4, 16}
@@ -173,59 +178,38 @@ main(int argc, char **argv)
             char section[32];
             std::snprintf(section, sizeof(section), "s%d_k%d",
                           sessions, chips);
-            PerfJson::update(json_path, section, "sessions_opened",
-                             double(f.sessions_opened));
-            PerfJson::update(json_path, section,
-                             "sessions_rejected",
-                             double(f.sessions_rejected));
-            PerfJson::update(json_path, section, "submitted",
-                             double(f.submitted));
-            PerfJson::update(json_path, section, "completed",
-                             double(f.completed));
-            PerfJson::update(json_path, section, "queue_drops",
-                             double(f.queue_drops));
+            json.set(section, "sessions_opened", double(f.sessions_opened));
+            json.set(section, "sessions_rejected",
+                     double(f.sessions_rejected));
+            json.set(section, "submitted", double(f.submitted));
+            json.set(section, "completed", double(f.completed));
+            json.set(section, "queue_drops", double(f.queue_drops));
             // Drop breakdown by reason: the total above must equal
             // the sum of these buckets (gated below).
-            PerfJson::update(json_path, section, "drops_backpressure",
-                             double(f.drops_backpressure));
-            PerfJson::update(json_path, section,
-                             "drops_shed_on_close",
-                             double(f.drops_shed_on_close));
-            PerfJson::update(json_path, section,
-                             "drops_rate_downgrade",
-                             double(f.drops_rate_downgrade));
-            PerfJson::update(json_path, section, "drops_failover",
-                             double(f.drops_failover));
-            PerfJson::update(json_path, section, "deadline_misses",
-                             double(f.deadline_misses));
-            PerfJson::update(json_path, section, "aggregate_fps",
-                             f.aggregate_fps);
-            PerfJson::update(json_path, section,
-                             "backend_utilization",
-                             f.backend_utilization);
-            PerfJson::update(json_path, section, "drop_rate",
-                             f.drop_rate);
-            PerfJson::update(json_path, section,
-                             "admitted_utilization",
-                             cell.admitted_utilization);
-            PerfJson::update(json_path, section, "p50_latency_us",
-                             f.p50_latency_us);
-            PerfJson::update(json_path, section, "p99_latency_us",
-                             f.p99_latency_us);
+            json.set(section, "drops_backpressure",
+                     double(f.drops_backpressure));
+            json.set(section, "drops_shed_on_close",
+                     double(f.drops_shed_on_close));
+            json.set(section, "drops_rate_downgrade",
+                     double(f.drops_rate_downgrade));
+            json.set(section, "drops_failover", double(f.drops_failover));
+            json.set(section, "deadline_misses", double(f.deadline_misses));
+            json.set(section, "aggregate_fps", f.aggregate_fps);
+            json.set(section, "backend_utilization", f.backend_utilization);
+            json.set(section, "drop_rate", f.drop_rate);
+            json.set(section, "admitted_utilization",
+                     cell.admitted_utilization);
+            json.set(section, "p50_latency_us", f.p50_latency_us);
+            json.set(section, "p99_latency_us", f.p99_latency_us);
 
-            PerfJson::update(memory_json_path, section,
-                             "steady_frames", double(f.steady_frames));
-            PerfJson::update(memory_json_path, section,
-                             "steady_allocs", double(f.steady_allocs));
-            PerfJson::update(memory_json_path, section,
-                             "refresh_frames",
-                             double(f.refresh_frames));
-            PerfJson::update(memory_json_path, section,
-                             "refresh_allocs",
-                             double(f.refresh_allocs));
-            PerfJson::update(memory_json_path, section,
-                             "peak_arena_bytes",
-                             double(f.peak_arena_bytes));
+            memory_json.set(section, "steady_frames", double(f.steady_frames));
+            memory_json.set(section, "steady_allocs", double(f.steady_allocs));
+            memory_json.set(section, "refresh_frames",
+                            double(f.refresh_frames));
+            memory_json.set(section, "refresh_allocs",
+                            double(f.refresh_allocs));
+            memory_json.set(section, "peak_arena_bytes",
+                            double(f.peak_arena_bytes));
         }
     }
 
@@ -269,20 +253,13 @@ main(int argc, char **argv)
         }
     }
 
-    PerfJson::update(json_path, "acceptance", "fps_scaling_16v1_k4",
-                     scaling);
-    PerfJson::update(json_path, "acceptance",
-                     "fps_scaling_at_least_3x",
-                     scaling_ok ? 1.0 : 0.0);
-    PerfJson::update(json_path, "acceptance",
-                     "zero_misses_below_saturation",
-                     no_misses_below_saturation ? 1.0 : 0.0);
-    PerfJson::update(json_path, "acceptance", "graceful_overload",
-                     graceful_overload ? 1.0 : 0.0);
-    PerfJson::update(json_path, "acceptance", "accounting_identity",
-                     accounting_ok ? 1.0 : 0.0);
-    PerfJson::update(json_path, "acceptance", "quick_mode",
-                     quick ? 1.0 : 0.0);
+    json.set("acceptance", "fps_scaling_16v1_k4", scaling);
+    json.set("acceptance", "fps_scaling_at_least_3x", scaling_ok ? 1.0 : 0.0);
+    json.set("acceptance", "zero_misses_below_saturation",
+             no_misses_below_saturation ? 1.0 : 0.0);
+    json.set("acceptance", "graceful_overload", graceful_overload ? 1.0 : 0.0);
+    json.set("acceptance", "accounting_identity", accounting_ok ? 1.0 : 0.0);
+    json.set("acceptance", "quick_mode", quick ? 1.0 : 0.0);
 
     // --- Memory-spine gate: zero heap allocations on steady frames.
     long long steady_frames = 0, steady_allocs = 0;
@@ -306,26 +283,17 @@ main(int argc, char **argv)
     const bool memory_ok =
         hooks && steady_frames > 0 && steady_allocs == 0;
 
-    PerfJson::update(memory_json_path, "memory", "hooks_installed",
-                     hooks ? 1.0 : 0.0);
-    PerfJson::update(memory_json_path, "memory", "steady_frames",
-                     double(steady_frames));
-    PerfJson::update(memory_json_path, "memory", "steady_allocs",
-                     double(steady_allocs));
-    PerfJson::update(memory_json_path, "memory",
-                     "allocs_per_steady_frame",
-                     allocs_per_steady_frame);
-    PerfJson::update(memory_json_path, "memory", "refresh_frames",
-                     double(refresh_frames));
-    PerfJson::update(memory_json_path, "memory", "refresh_allocs",
-                     double(refresh_allocs));
-    PerfJson::update(memory_json_path, "memory", "peak_arena_bytes",
-                     double(peak_arena_bytes));
-    PerfJson::update(memory_json_path, "memory",
-                     "zero_steady_state_allocs",
-                     memory_ok ? 1.0 : 0.0);
-    PerfJson::update(memory_json_path, "memory", "quick_mode",
-                     quick ? 1.0 : 0.0);
+    memory_json.set("memory", "hooks_installed", hooks ? 1.0 : 0.0);
+    memory_json.set("memory", "steady_frames", double(steady_frames));
+    memory_json.set("memory", "steady_allocs", double(steady_allocs));
+    memory_json.set("memory", "allocs_per_steady_frame",
+                    allocs_per_steady_frame);
+    memory_json.set("memory", "refresh_frames", double(refresh_frames));
+    memory_json.set("memory", "refresh_allocs", double(refresh_allocs));
+    memory_json.set("memory", "peak_arena_bytes", double(peak_arena_bytes));
+    memory_json.set("memory", "zero_steady_state_allocs",
+                    memory_ok ? 1.0 : 0.0);
+    memory_json.set("memory", "quick_mode", quick ? 1.0 : 0.0);
 
     const bool all_ok = scaling_ok && no_misses_below_saturation &&
                         graceful_overload && accounting_ok &&
@@ -350,5 +318,7 @@ main(int argc, char **argv)
         peak_arena_bytes, memory_ok ? "zero-alloc" : "FAIL",
         all_ok ? "PASS" : "FAIL", json_path.c_str(),
         memory_json_path.c_str());
+    json.write(json_path);
+    memory_json.write(memory_json_path);
     return all_ok ? 0 : 1;
 }

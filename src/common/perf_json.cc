@@ -197,13 +197,4 @@ PerfJson::write(const std::string &path) const
     return bool(out);
 }
 
-bool
-PerfJson::update(const std::string &path, const std::string &section,
-                 const std::string &metric, double value)
-{
-    PerfJson doc = load(path);
-    doc.set(section, metric, value);
-    return doc.write(path);
-}
-
 } // namespace eyecod

@@ -5,10 +5,11 @@
  * the perf trajectory is trackable across PRs.
  *
  * Several binaries append to the same file (bench_runtime and
- * bench_micro_stages both write BENCH_runtime.json), so load() parses
- * the existing file and set() overwrites only the touched metrics.
- * The parser accepts exactly the schema this writer produces; a
- * missing or malformed file yields an empty store.
+ * bench_micro_stages both write BENCH_runtime.json), so a bench
+ * load()s its file once at start, set()s only its own metrics in
+ * memory and write()s once on exit; sections other binaries wrote
+ * survive. The parser accepts exactly the schema this writer
+ * produces; a missing or malformed file yields an empty store.
  */
 
 #ifndef EYECOD_COMMON_PERF_JSON_H
@@ -50,14 +51,6 @@ class PerfJson
 
     /** Write to @p path; returns false on I/O failure. */
     bool write(const std::string &path) const;
-
-    /**
-     * Convenience: load @p path, apply @p section/@p metric/@p value,
-     * write back. Returns false on I/O failure.
-     */
-    static bool update(const std::string &path,
-                       const std::string &section,
-                       const std::string &metric, double value);
 
   private:
     std::map<std::string, std::map<std::string, double>> sections_;

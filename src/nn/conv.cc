@@ -11,21 +11,6 @@ namespace nn {
 
 namespace {
 
-/** He-initialize a weight buffer and optionally fake-quantize it. */
-void
-initWeights(std::vector<float> &w, double fan_in, uint64_t seed,
-            int quant_bits)
-{
-    Rng rng(seed);
-    const double stddev = std::sqrt(2.0 / std::max(1.0, fan_in));
-    for (float &v : w)
-        v = float(rng.gaussian(0.0, stddev));
-    if (quant_bits > 0) {
-        const QuantParams qp = chooseQuantParams(w, quant_bits);
-        fakeQuantize(w, qp);
-    }
-}
-
 /**
  * Per-thread accumulator scratch for the conv kernels, grown to at
  * least @p count doubles and reused across calls. Hoisting it out of
@@ -44,8 +29,35 @@ accScratch(size_t count)
 
 } // namespace
 
+long long
+WeightedLayer::paramCount() const
+{
+    const ParamSpec p = paramSpec();
+    return (long long)p.weights + (long long)p.bias;
+}
+
+void
+WeightedLayer::materialize() const
+{
+    std::call_once(materialized_, [this] {
+        // He initialization, optionally fake-quantized; zero bias.
+        const ParamSpec p = paramSpec();
+        weights_.resize(p.weights);
+        Rng rng(p.seed);
+        const double stddev = std::sqrt(2.0 / std::max(1.0, p.fan_in));
+        for (float &v : weights_)
+            v = float(rng.gaussian(0.0, stddev));
+        if (p.quant_bits > 0) {
+            const QuantParams qp =
+                chooseQuantParams(weights_, p.quant_bits);
+            fakeQuantize(weights_, qp);
+        }
+        bias_.assign(p.bias, 0.0f);
+    });
+}
+
 Conv2d::Conv2d(std::string name, const ConvSpec &spec)
-    : Layer(std::move(name)), spec_(spec)
+    : WeightedLayer(std::move(name)), spec_(spec)
 {
     eyecod_assert(spec_.in.c > 0 && spec_.out_channels > 0 &&
                   spec_.kernel > 0 && spec_.stride > 0,
@@ -59,12 +71,6 @@ Conv2d::Conv2d(std::string name, const ConvSpec &spec)
     } else {
         group_channels_ = spec_.in.c;
     }
-    weights_.resize(size_t(spec_.out_channels) * group_channels_ *
-                    spec_.kernel * spec_.kernel);
-    bias_.resize(size_t(spec_.out_channels), 0.0f);
-    initWeights(weights_,
-                double(group_channels_) * spec_.kernel * spec_.kernel,
-                spec_.seed, spec_.quant_bits);
 }
 
 Shape
@@ -94,10 +100,13 @@ Conv2d::macs() const
            spec_.kernel * spec_.kernel;
 }
 
-long long
-Conv2d::paramCount() const
+WeightedLayer::ParamSpec
+Conv2d::paramSpec() const
 {
-    return (long long)weights_.size() + (long long)bias_.size();
+    const int taps = group_channels_ * spec_.kernel * spec_.kernel;
+    return ParamSpec{size_t(spec_.out_channels) * size_t(taps),
+                     size_t(spec_.out_channels), double(taps),
+                     spec_.seed, spec_.quant_bits};
 }
 
 LayerWorkload
@@ -125,6 +134,8 @@ Conv2d::forward(const std::vector<const Tensor *> &in, Tensor &out,
     eyecod_assert(out.shape() == out_shape,
                   "conv %s output shape mismatch", name().c_str());
 
+    const std::vector<float> &weight_buf = weights();
+    const std::vector<float> &bias_buf = bias();
     const Tensor *src = &x;
     Tensor quantized;
     if (spec_.quant_bits > 0) {
@@ -156,9 +167,9 @@ Conv2d::forward(const std::vector<const Tensor *> &in, Tensor &out,
             std::vector<double> &acc = accScratch(out_plane);
             for (long oc = oc_begin; oc < oc_end; ++oc) {
                 std::fill(acc.data(), acc.data() + out_plane,
-                          double(bias_[size_t(oc)]));
+                          double(bias_buf[size_t(oc)]));
                 const float *wrow =
-                    &weights_[size_t(oc) * ic_count];
+                    &weight_buf[size_t(oc) * ic_count];
                 for (int ic = 0; ic < ic_count; ++ic) {
                     const double w = wrow[ic];
                     const float *iplane = in_data + size_t(ic) *
@@ -206,13 +217,13 @@ Conv2d::forward(const std::vector<const Tensor *> &in, Tensor &out,
             const int oy = int(r % out_shape.h);
             const int ic_begin = spec_.depthwise ? oc : 0;
             const float *wbase =
-                &weights_[size_t(oc) * ic_count * kk];
+                &weight_buf[size_t(oc) * ic_count * kk];
             float *orow = out_data + size_t(oc) * out_plane +
                           size_t(oy) * out_shape.w;
             const int ky_lo = std::max(0, pad - oy * s);
             const int ky_hi = std::min(k, in_h + pad - oy * s);
             std::fill(acc.data(), acc.data() + out_shape.w,
-                      double(bias_[size_t(oc)]));
+                      double(bias_buf[size_t(oc)]));
             for (int g = 0; g < ic_count; ++g) {
                 const float *iplane =
                     in_data + size_t(ic_begin + g) * in_plane;
@@ -258,15 +269,12 @@ Conv2d::forward(const std::vector<const Tensor *> &in, Tensor &out,
 FullyConnected::FullyConnected(std::string name, Shape in,
                                int out_features, bool relu,
                                int quant_bits, uint64_t seed)
-    : Layer(std::move(name)), in_(in),
+    : WeightedLayer(std::move(name)), in_(in),
       in_features_(int(in.size())), out_features_(out_features),
-      relu_(relu), quant_bits_(quant_bits)
+      relu_(relu), quant_bits_(quant_bits), seed_(seed)
 {
     eyecod_assert(out_features > 0, "fc %s needs positive width",
                   this->name().c_str());
-    weights_.resize(size_t(out_features_) * in_features_);
-    bias_.resize(size_t(out_features_), 0.0f);
-    initWeights(weights_, double(in_features_), seed, quant_bits);
 }
 
 Shape
@@ -281,10 +289,12 @@ FullyConnected::macs() const
     return (long long)in_features_ * out_features_;
 }
 
-long long
-FullyConnected::paramCount() const
+WeightedLayer::ParamSpec
+FullyConnected::paramSpec() const
 {
-    return (long long)weights_.size() + (long long)bias_.size();
+    return ParamSpec{size_t(out_features_) * size_t(in_features_),
+                     size_t(out_features_), double(in_features_), seed_,
+                     quant_bits_};
 }
 
 LayerWorkload
@@ -311,6 +321,8 @@ FullyConnected::forward(const std::vector<const Tensor *> &in,
     eyecod_assert(out.shape() == outputShape(),
                   "fc %s output shape mismatch", name().c_str());
 
+    const std::vector<float> &weight_buf = weights();
+    const std::vector<float> &bias_buf = bias();
     const float *input_data = x.data().data();
     std::vector<float> quantized;
     if (quant_bits_ > 0) {
@@ -326,8 +338,8 @@ FullyConnected::forward(const std::vector<const Tensor *> &in,
                          (long(ctx.concurrency()) * 4));
     ctx.parallelFor(out_features_, grain, [&](long begin, long end) {
         for (long o = begin; o < end; ++o) {
-            double acc = bias_[size_t(o)];
-            const float *wrow = &weights_[size_t(o) * in_features_];
+            double acc = bias_buf[size_t(o)];
+            const float *wrow = &weight_buf[size_t(o) * in_features_];
             for (int i = 0; i < in_features_; ++i)
                 acc += wrow[i] * input_data[size_t(i)];
             if (relu_ && acc < 0.0)
@@ -339,12 +351,11 @@ FullyConnected::forward(const std::vector<const Tensor *> &in,
 
 MatMul::MatMul(std::string name, int rows, int k, int cols,
                uint64_t seed)
-    : Layer(std::move(name)), rows_(rows), k_(k), cols_(cols)
+    : WeightedLayer(std::move(name)), rows_(rows), k_(k), cols_(cols),
+      seed_(seed)
 {
     eyecod_assert(rows > 0 && k > 0 && cols > 0,
                   "matmul %s needs positive dims", this->name().c_str());
-    weights_.resize(size_t(k_) * cols_);
-    initWeights(weights_, double(k_), seed, 0);
 }
 
 Shape
@@ -359,10 +370,10 @@ MatMul::macs() const
     return (long long)rows_ * k_ * cols_;
 }
 
-long long
-MatMul::paramCount() const
+WeightedLayer::ParamSpec
+MatMul::paramSpec() const
 {
-    return (long long)weights_.size();
+    return ParamSpec{size_t(k_) * size_t(cols_), 0, double(k_), seed_, 0};
 }
 
 LayerWorkload
@@ -389,6 +400,7 @@ MatMul::forward(const std::vector<const Tensor *> &in, Tensor &out,
     eyecod_assert(out.shape() == outputShape(),
                   "matmul %s output shape mismatch", name().c_str());
 
+    const std::vector<float> &weight_buf = weights();
     // Row blocks: each output row is one independent dot-product fan.
     const long grain =
         std::max(1L, long(rows_) / (long(ctx.concurrency()) * 4));
@@ -398,7 +410,7 @@ MatMul::forward(const std::vector<const Tensor *> &in, Tensor &out,
                 double acc = 0.0;
                 for (int i = 0; i < k_; ++i)
                     acc += x.at(int(r), 0, i) *
-                           weights_[size_t(i) * cols_ + c];
+                           weight_buf[size_t(i) * cols_ + c];
                 out.at(int(r), 0, c) = float(acc);
             }
         }

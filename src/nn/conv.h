@@ -3,13 +3,16 @@
  * Convolution layers: generic KxK, point-wise 1x1, and depth-wise,
  * the three MAC-dominant layer types of the paper's Sec. 5.1.
  *
- * Batch-norm parameters are folded into the convolution weights at
- * construction (standard inference-time folding) and ReLU may be
- * fused; both choices match what the deployment engine executes.
+ * Batch-norm parameters are folded into the convolution weights
+ * (standard inference-time folding) and ReLU may be fused; both
+ * choices match what the deployment engine executes.
  */
 
 #ifndef EYECOD_NN_CONV_H
 #define EYECOD_NN_CONV_H
+
+#include <cstdint>
+#include <mutex>
 
 #include "nn/layer.h"
 #include "nn/quantize.h"
@@ -31,10 +34,64 @@ struct ConvSpec
 };
 
 /**
+ * A layer with learned weights and bias that keeps only its
+ * attributes at construction. The storage is created once,
+ * thread-safely, on the first forward() or weights()/bias() access,
+ * He-initialized from the layer's own seed (and fake-quantized when
+ * the layer quantizes), so its bytes do not depend on when or from
+ * which thread that happens. paramCount() is derived from the
+ * attributes, so shape-only readers (FLOPs and parameter accounting,
+ * accelerator workloads) never create the storage.
+ */
+class WeightedLayer : public Layer
+{
+  public:
+    long long paramCount() const final;
+
+    /** Weights, in the layout of the concrete layer. */
+    std::vector<float> &weights() { materialize(); return weights_; }
+    /** Weights (const). */
+    const std::vector<float> &weights() const
+    {
+        materialize();
+        return weights_;
+    }
+    /** Per-output bias (empty for layers without one). */
+    std::vector<float> &bias() { materialize(); return bias_; }
+    /** Per-output bias (const). */
+    const std::vector<float> &bias() const
+    {
+        materialize();
+        return bias_;
+    }
+
+  protected:
+    using Layer::Layer;
+
+    /** Storage sizes and initialization, from the attributes. */
+    struct ParamSpec
+    {
+        size_t weights = 0;
+        size_t bias = 0;
+        double fan_in = 1.0; ///< He-init fan-in.
+        uint64_t seed = 1;
+        int quant_bits = 0;  ///< Weight fake-quantization; 0 = none.
+    };
+    virtual ParamSpec paramSpec() const = 0;
+
+  private:
+    void materialize() const;
+
+    mutable std::once_flag materialized_;
+    mutable std::vector<float> weights_;
+    mutable std::vector<float> bias_;
+};
+
+/**
  * A 2-D convolution over a CHW tensor with 'same' padding
  * (floor(kernel / 2)) and He-initialized weights.
  */
-class Conv2d : public Layer
+class Conv2d : public WeightedLayer
 {
   public:
     Conv2d(std::string name, const ConvSpec &spec);
@@ -45,32 +102,26 @@ class Conv2d : public Layer
     Shape outputShape() const override;
     LayerKind kind() const override;
     long long macs() const override;
-    long long paramCount() const override;
     LayerWorkload workload() const override;
 
-    /** Direct weight access: [c_out][c_in_per_group][ky][kx]. */
-    std::vector<float> &weights() { return weights_; }
-    /** Direct weight access (const). */
-    const std::vector<float> &weights() const { return weights_; }
-    /** Per-output-channel bias. */
-    std::vector<float> &bias() { return bias_; }
-    /** Per-output-channel bias (const). */
-    const std::vector<float> &bias() const { return bias_; }
+    // weights(): [c_out][c_in_per_group][ky][kx]; bias(): [c_out].
 
     /** The construction spec. */
     const ConvSpec &spec() const { return spec_; }
 
+  protected:
+    ParamSpec paramSpec() const override;
+
   private:
     ConvSpec spec_;
     int group_channels_; ///< Input channels per group.
-    std::vector<float> weights_;
-    std::vector<float> bias_;
 };
 
 /**
- * A fully-connected layer over a flattened tensor.
+ * A fully-connected layer over a flattened tensor; weights() is
+ * [out][in], bias() is [out].
  */
-class FullyConnected : public Layer
+class FullyConnected : public WeightedLayer
 {
   public:
     /**
@@ -87,8 +138,10 @@ class FullyConnected : public Layer
     Shape outputShape() const override;
     LayerKind kind() const override { return LayerKind::FullyConnected; }
     long long macs() const override;
-    long long paramCount() const override;
     LayerWorkload workload() const override;
+
+  protected:
+    ParamSpec paramSpec() const override;
 
   private:
     Shape in_;
@@ -96,8 +149,7 @@ class FullyConnected : public Layer
     int out_features_;
     bool relu_;
     int quant_bits_;
-    std::vector<float> weights_; ///< [out][in].
-    std::vector<float> bias_;
+    uint64_t seed_;
 };
 
 /**
@@ -106,8 +158,9 @@ class FullyConnected : public Layer
  * (rows x 1 x k) and the layer computes (rows x 1 x cols).
  *
  * This is the layer type the FlatCam image reconstruction lowers to.
+ * weights() is [k][cols]; there is no bias.
  */
-class MatMul : public Layer
+class MatMul : public WeightedLayer
 {
   public:
     MatMul(std::string name, int rows, int k, int cols,
@@ -119,12 +172,14 @@ class MatMul : public Layer
     Shape outputShape() const override;
     LayerKind kind() const override { return LayerKind::MatMul; }
     long long macs() const override;
-    long long paramCount() const override;
     LayerWorkload workload() const override;
+
+  protected:
+    ParamSpec paramSpec() const override;
 
   private:
     int rows_, k_, cols_;
-    std::vector<float> weights_; ///< [k][cols].
+    uint64_t seed_;
 };
 
 } // namespace nn

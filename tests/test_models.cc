@@ -1,13 +1,23 @@
 /**
  * @file
  * Tests of the model builders against the paper's published numbers
- * (Tabs. 2 and 3 FLOPs/params columns) and structural invariants.
+ * (Tabs. 2 and 3 FLOPs/params columns) and structural invariants,
+ * and of weights created on first use (nn::WeightedLayer).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/rng.h"
 #include "models/model_zoo.h"
 #include "nn/basic_layers.h"
+#include "nn/conv.h"
 
 namespace eyecod {
 namespace models {
@@ -158,6 +168,150 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ModelCase> &param_info) {
         return param_info.param.name;
     });
+
+/** Running 64-bit FNV-1a over the bytes of float buffers; streams a
+ *  model's weights without concatenating them (snap::fnv1a takes one
+ *  contiguous range). */
+struct Fnv1a
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(const std::vector<float> &v)
+    {
+        const auto *p = reinterpret_cast<const uint8_t *>(v.data());
+        for (size_t i = 0; i < v.size() * sizeof(float); ++i) {
+            h ^= p[i];
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
+
+/** The layer of node @p id when it carries weights, else null. */
+const nn::WeightedLayer *
+weightedLayer(const nn::Graph &g, int id)
+{
+    return dynamic_cast<const nn::WeightedLayer *>(g.nodeLayer(id));
+}
+
+/** A fixed seeded input at the entry's test resolution. */
+nn::Tensor
+seededInput(const ZooEntry &e)
+{
+    nn::Tensor x(nn::Shape{1, e.test_height, e.test_width});
+    Rng rng(2022);
+    for (float &v : x.data())
+        v = float(rng.uniform());
+    return x;
+}
+
+bool
+bitwiseEqual(const nn::Tensor &a, const nn::Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.size() * sizeof(float)) == 0;
+}
+
+TEST(LazyWeights, MaterializedBytesMatchEagerInit)
+{
+    // Goldens derived from the eager-init builders (weights created in
+    // every layer constructor): creating them on first use must not
+    // change a byte of the weights, the biases or the forward output.
+    struct Golden
+    {
+        const char *name;
+        int quant_bits;
+        uint64_t params; ///< Weights then bias of each layer, in order.
+        uint64_t output; ///< Serial forward on seededInput().
+    };
+    const Golden goldens[] = {
+        {"ritnet", 0, 0x61acc80eab45e092ULL, 0x4358e708763b57a9ULL},
+        {"ritnet", 8, 0xc0e0bd45c4376c6fULL, 0x9d534110a3989af3ULL},
+        {"unet", 0, 0x772981300fc61889ULL, 0x87aaf209015c35e2ULL},
+        {"unet", 8, 0x5ed21c09cf61afd4ULL, 0x802feab5772ced6cULL},
+        {"fbnet", 0, 0x77efe0f164083638ULL, 0x2b15a9d9d56efe3dULL},
+        {"fbnet", 8, 0xcfce1e2249ddd16dULL, 0x813b6c1b284fa33bULL},
+        {"resnet18", 0, 0x54baa26ad9b03ec4ULL, 0xaa0de1575ebd28b1ULL},
+        {"resnet18", 8, 0x476b161d1f2c5864ULL, 0x61aadd423184924aULL},
+        {"mobilenetv2", 0, 0xc8ae506f7de828fdULL, 0x8b4c47da6cd846a3ULL},
+        {"mobilenetv2", 8, 0xb4dd83b7372fa55fULL, 0x8e174ab9241c2a9dULL},
+    };
+    size_t checked = 0;
+    for (const ZooEntry &e : modelZoo()) {
+        for (const int bits : {0, 8}) {
+            SCOPED_TRACE(e.name + " quant_bits=" + std::to_string(bits));
+            const Golden *golden = nullptr;
+            for (const Golden &gd : goldens)
+                if (e.name == gd.name && bits == gd.quant_bits)
+                    golden = &gd;
+            ASSERT_NE(golden, nullptr) << "no golden for this entry";
+            const nn::Graph g =
+                e.build(e.test_height, e.test_width, bits);
+            Fnv1a params;
+            for (int id = 0; id < int(g.numNodes()); ++id) {
+                if (const nn::WeightedLayer *l = weightedLayer(g, id)) {
+                    params.add(l->weights());
+                    params.add(l->bias());
+                }
+            }
+            Fnv1a output;
+            output.add(g.forward({seededInput(e)}).data());
+            EXPECT_EQ(params.h, golden->params);
+            EXPECT_EQ(output.h, golden->output);
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, std::size(goldens));
+}
+
+TEST(LazyWeights, ConcurrentFirstForwardMatchesSerial)
+{
+    // Four threads race to create the weights of a fresh graph; each
+    // must see the same bytes as a serial run.
+    constexpr int kThreads = 4;
+    for (const char *name : {"ritnet", "fbnet"}) {
+        SCOPED_TRACE(name);
+        const ZooEntry &e = findModel(name);
+        const nn::Tensor x = seededInput(e);
+        const nn::Tensor serial =
+            e.build(e.test_height, e.test_width, 8).forward({x});
+
+        const nn::Graph fresh = e.build(e.test_height, e.test_width, 8);
+        std::vector<nn::Tensor> outs(kThreads);
+        {
+            std::vector<std::jthread> threads;
+            for (int t = 0; t < kThreads; ++t)
+                threads.emplace_back(
+                    [&, t] { outs[size_t(t)] = fresh.forward({x}); });
+        } // joins
+        for (const nn::Tensor &out : outs)
+            EXPECT_TRUE(bitwiseEqual(out, serial));
+    }
+}
+
+TEST(LazyWeights, ParamCountMatchesStorage)
+{
+    for (const ZooEntry &e : modelZoo()) {
+        SCOPED_TRACE(e.name);
+        const nn::Graph g = e.build(e.test_height, e.test_width, 0);
+        const long long before = g.totalParams();
+        g.forward({seededInput(e)});
+        EXPECT_EQ(g.totalParams(), before);
+        for (int id = 0; id < int(g.numNodes()); ++id) {
+            const nn::Layer *layer = g.nodeLayer(id);
+            if (!layer)
+                continue;
+            // Every parameter the count reports lives in weighted
+            // storage.
+            const nn::WeightedLayer *l = weightedLayer(g, id);
+            const long long stored =
+                l ? (long long)(l->weights().size() + l->bias().size())
+                  : 0;
+            EXPECT_EQ(layer->paramCount(), stored) << layer->name();
+        }
+    }
+}
 
 } // namespace
 } // namespace models

@@ -48,14 +48,20 @@ TEST(PerfJson, UpdateMergesAcrossWriters)
 {
     // Two "binaries" updating the same file must not clobber each
     // other's sections — the bench_runtime / bench_micro_stages
-    // contract.
+    // contract. Each run loads the file once, sets its metrics and
+    // writes once.
     const std::string path = tempPath("perf_merge.json");
     std::remove(path.c_str());
+    const auto run = [&](const std::string &section,
+                         const std::string &metric, double value) {
+        PerfJson doc = PerfJson::load(path);
+        doc.set(section, metric, value);
+        return doc.write(path);
+    };
 
-    ASSERT_TRUE(PerfJson::update(path, "runtime", "serial_ms", 10.0));
-    ASSERT_TRUE(
-        PerfJson::update(path, "micro_stages", "BM_Seg", 2.5));
-    ASSERT_TRUE(PerfJson::update(path, "runtime", "serial_ms", 9.0));
+    ASSERT_TRUE(run("runtime", "serial_ms", 10.0));
+    ASSERT_TRUE(run("micro_stages", "BM_Seg", 2.5));
+    ASSERT_TRUE(run("runtime", "serial_ms", 9.0));
 
     const PerfJson loaded = PerfJson::load(path);
     EXPECT_DOUBLE_EQ(loaded.get("runtime", "serial_ms"), 9.0);
