@@ -203,6 +203,33 @@ chaosTraffic()
 }
 
 /**
+ * Drive a fresh engine tick by tick until @p kill_when holds at or
+ * after @p search_from (the "crash point") and return its snapshot,
+ * with the driver state and virtual time at the kill. Empty when the
+ * predicate never held before the horizon.
+ */
+std::vector<uint8_t>
+killSnapshot(const ServingConfig &cfg,
+             const std::vector<SessionTraffic> &traffic,
+             const std::vector<FlatEvent> &events, long long search_from,
+             const std::function<bool(const ServingEngine &)> &kill_when,
+             DriverState *state, long long *now)
+{
+    const long long horizon =
+        events.empty() ? 0 : events.back().t + 1000000;
+    ServingEngine victim(cfg, servingTestEstimator(),
+                         servingTestRenderer());
+    for (long long t = cfg.tick_us; t <= horizon; t += cfg.tick_us) {
+        applyEventsUpTo(victim, traffic, events, *state, t);
+        if (t >= search_from && kill_when(victim)) {
+            *now = victim.now();
+            return victim.saveSnapshot();
+        }
+    }
+    return {};
+}
+
+/**
  * Run the kill/restore experiment at one scheduler width:
  *
  *  A. drive the full trace uninterrupted -> reference signature;
@@ -226,8 +253,6 @@ runKillRestore(const ServingConfig &cfg, const TrafficConfig &tc,
     const std::vector<SessionTraffic> traffic =
         makeTraffic(servingTestRenderer(), tc);
     const std::vector<FlatEvent> events = flattenTrace(traffic);
-    const long long horizon =
-        events.empty() ? 0 : events.back().t + 1000000;
 
     // A: uninterrupted reference.
     ServingEngine ref(cfg, servingTestEstimator(),
@@ -237,29 +262,20 @@ runKillRestore(const ServingConfig &cfg, const TrafficConfig &tc,
     const std::string want = engineSignature(ref);
 
     // B: drive to the crash point and snapshot.
-    ServingEngine victim(cfg, servingTestEstimator(),
-                         servingTestRenderer());
     DriverState victim_state;
-    long long t_kill = -1;
-    for (long long t = cfg.tick_us; t <= horizon; t += cfg.tick_us) {
-        applyEventsUpTo(victim, traffic, events, victim_state, t);
-        if (t >= search_from && kill_when(victim)) {
-            t_kill = t;
-            break;
-        }
-    }
-    ASSERT_GE(t_kill, 0)
+    long long victim_now = -1;
+    const std::vector<uint8_t> snapshot =
+        killSnapshot(cfg, traffic, events, search_from, kill_when,
+                     &victim_state, &victim_now);
+    ASSERT_FALSE(snapshot.empty())
         << what << ": kill predicate never held before the horizon";
-    ASSERT_TRUE(kill_when(victim));
-    const std::vector<uint8_t> snapshot = victim.saveSnapshot();
-    ASSERT_FALSE(snapshot.empty());
 
     // C: restore into a fresh engine and finish the trace.
     ServingEngine resumed(cfg, servingTestEstimator(),
                           servingTestRenderer());
     const Status restored = resumed.restoreSnapshot(snapshot);
     ASSERT_TRUE(restored.isOk()) << restored.toString();
-    EXPECT_EQ(resumed.now(), victim.now());
+    EXPECT_EQ(resumed.now(), victim_now);
     DriverState resumed_state = victim_state;
     finishTrace(resumed, traffic, events, resumed_state);
     expectSameSignature(want, engineSignature(resumed), what);
@@ -275,51 +291,117 @@ anyChipMidBatch(const ServingEngine &eng)
     return false;
 }
 
+/** One kill point: engine shape, traffic, and the crash predicate. */
+struct KillScenario
+{
+    ServingConfig cfg;
+    TrafficConfig tc;
+    long long search_from = 0;
+    std::function<bool(const ServingEngine &)> kill_when;
+    const char *what = "";
+};
+
+KillScenario
+midBatchScenario(int threads)
+{
+    return {chaosConfig(threads), chaosTraffic(), 20000,
+            anyChipMidBatch, "mid-batch kill"};
+}
+
+KillScenario
+midBackoffScenario(int threads)
+{
+    // The chip-1 outage at t=34000 strands its in-flight frames in
+    // the retry queue, where they wait out an exponential backoff;
+    // the kill lands inside that window.
+    return {chaosConfig(threads), chaosTraffic(), 34000,
+            [](const ServingEngine &eng) {
+                return eng.pendingRetries() > 0;
+            },
+            "mid-backoff kill"};
+}
+
+KillScenario
+midLadderScenario(int threads)
+{
+    // One chip, eight users: sustained ~2x overload walks the
+    // degradation ladder; the kill lands with tier >= 1 engaged.
+    KillScenario sc;
+    sc.cfg = quickServingConfig(1, threads);
+    sc.cfg.record_gaze = true;
+    sc.tc.sessions = 8;
+    sc.tc.frames_per_session = 30;
+    sc.kill_when = [](const ServingEngine &eng) {
+        return eng.healthController().tier() >= 1;
+    };
+    sc.what = "mid-ladder kill";
+    return sc;
+}
+
+KillScenario
+flatCamScenario(int threads)
+{
+    // FlatCam sessions carry a sensor read/shot-noise RNG stream the
+    // lens scenarios never exercise; the kill lands mid-batch.
+    KillScenario sc{chaosConfig(threads), chaosTraffic(), 20000,
+                    anyChipMidBatch, "flatcam mid-batch kill"};
+    sc.cfg.system.pipeline.camera = eyetrack::CameraKind::FlatCam;
+    sc.tc.sessions = 4;
+    sc.tc.frames_per_session = 12;
+    return sc;
+}
+
+void
+runKillRestore(const KillScenario &sc)
+{
+    runKillRestore(sc.cfg, sc.tc, sc.search_from, sc.kill_when, sc.what);
+}
+
+/** The snapshot @p sc takes at its kill point. */
+std::vector<uint8_t>
+scenarioSnapshot(const KillScenario &sc)
+{
+    const std::vector<SessionTraffic> traffic =
+        makeTraffic(servingTestRenderer(), sc.tc);
+    DriverState state;
+    long long now = -1;
+    return killSnapshot(sc.cfg, traffic, flattenTrace(traffic),
+                        sc.search_from, sc.kill_when, &state, &now);
+}
+
 TEST(CrashRecovery, ResumeIsBitwiseIdenticalKilledMidBatch)
 {
     for (int threads : {1, 2, 8}) {
         SCOPED_TRACE("scheduler_threads=" +
                      std::to_string(threads));
-        runKillRestore(chaosConfig(threads), chaosTraffic(), 20000,
-                       anyChipMidBatch, "mid-batch kill");
+        runKillRestore(midBatchScenario(threads));
     }
 }
 
 TEST(CrashRecovery, ResumeIsBitwiseIdenticalKilledMidBackoff)
 {
-    // The chip-1 outage at t=34000 strands its in-flight frames in
-    // the retry queue, where they wait out an exponential backoff;
-    // the kill lands inside that window.
     for (int threads : {1, 2, 8}) {
         SCOPED_TRACE("scheduler_threads=" +
                      std::to_string(threads));
-        runKillRestore(
-            chaosConfig(threads), chaosTraffic(), 34000,
-            [](const ServingEngine &eng) {
-                return eng.pendingRetries() > 0;
-            },
-            "mid-backoff kill");
+        runKillRestore(midBackoffScenario(threads));
     }
 }
 
 TEST(CrashRecovery, ResumeIsBitwiseIdenticalKilledMidLadder)
 {
-    // One chip, eight users: sustained ~2x overload walks the
-    // degradation ladder; the kill lands with tier >= 1 engaged.
     for (int threads : {1, 2, 8}) {
         SCOPED_TRACE("scheduler_threads=" +
                      std::to_string(threads));
-        ServingConfig cfg = quickServingConfig(1, threads);
-        cfg.record_gaze = true;
-        TrafficConfig tc;
-        tc.sessions = 8;
-        tc.frames_per_session = 30;
-        runKillRestore(
-            cfg, tc, 0,
-            [](const ServingEngine &eng) {
-                return eng.healthController().tier() >= 1;
-            },
-            "mid-ladder kill");
+        runKillRestore(midLadderScenario(threads));
+    }
+}
+
+TEST(CrashRecovery, ResumeIsBitwiseIdenticalFlatCamCamera)
+{
+    for (int threads : {1, 2, 8}) {
+        SCOPED_TRACE("scheduler_threads=" +
+                     std::to_string(threads));
+        runKillRestore(flatCamScenario(threads));
     }
 }
 
@@ -448,6 +530,107 @@ TEST(CrashRecoveryHardening, EmptyAndTinyBuffersAreTypedErrors)
         EXPECT_EQ(s.code(), ErrorCode::CorruptSnapshot)
             << s.toString();
     }
+}
+
+TEST(CrashRecoveryHardening, SnapshotBytesMatchGoldens)
+{
+    // The wire format pinned byte for byte: FNV-1a-64 and length of
+    // the hostile-input corpus and of the snapshot each kill scenario
+    // takes at one scheduler thread. Any change to these is a format
+    // change and needs a snapshot version bump.
+    struct Golden
+    {
+        const char *name;
+        std::vector<uint8_t> bytes;
+        size_t size;
+        uint64_t fnv;
+    };
+    const Golden goldens[] = {
+        {"corpus", corpusSnapshot(), 824201, 0xaa61f42017f81459ull},
+        {"mid-batch", scenarioSnapshot(midBatchScenario(1)), 689051,
+         0x191bea5e7605bc12ull},
+        {"mid-backoff", scenarioSnapshot(midBackoffScenario(1)), 823840,
+         0x6e4172fd64ca2751ull},
+        {"mid-ladder", scenarioSnapshot(midLadderScenario(1)), 549414,
+         0xee7dc0212889c257ull},
+        {"flatcam", scenarioSnapshot(flatCamScenario(1)), 301643,
+         0xdb50b4a6db691474ull},
+    };
+    for (const Golden &g : goldens) {
+        const uint64_t fnv = snap::fnv1a(g.bytes.data(), g.bytes.size());
+        EXPECT_EQ(g.bytes.size(), g.size) << g.name;
+        EXPECT_EQ(fnv, g.fnv) << g.name;
+    }
+}
+
+/** splitmix64: the fuzz mutants' seeded position/bit stream. */
+uint64_t
+splitmix64(uint64_t *state)
+{
+    uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+TEST(CrashRecoveryHardening, ResealedMutantsDecodeTypedOrRoundTrip)
+{
+    // Structure-aware fuzz of the decoder behind the seal: flip 1-3
+    // bits within 96 bytes after a component fence tag (where the
+    // scalar fields, counts and flags live; uniform flips almost all
+    // land in pixel data), then re-seal so the checksum passes and
+    // the field decoders see the damage. Every mutant must decode to
+    // OK or CorruptSnapshot; every mutant that decodes must re-encode
+    // to exactly its own bytes. One engine absorbs every attempt, so
+    // a failed restore must never poison a later successful one.
+    const std::vector<uint8_t> corpus = corpusSnapshot();
+    const size_t payload = corpus.size() - 8;
+    const uint32_t tags[] = {0x454e4731, 0x53455331, 0x50495031,
+                             0x53595331, 0x46515531, 0x41504c31,
+                             0x48435431, 0x52535431, 0x53485431};
+    std::vector<size_t> fences;
+    for (size_t i = 0; i + 4 <= payload; ++i) {
+        const uint32_t word = uint32_t(corpus[i]) |
+                              uint32_t(corpus[i + 1]) << 8 |
+                              uint32_t(corpus[i + 2]) << 16 |
+                              uint32_t(corpus[i + 3]) << 24;
+        if (std::find(std::begin(tags), std::end(tags), word) !=
+            std::end(tags))
+            fences.push_back(i);
+    }
+    ASSERT_EQ(fences.size(), size_t(76));
+
+    ServingEngine eng(chaosConfig(1), servingTestEstimator(),
+                      servingTestRenderer());
+    uint64_t rng = 0x5eedf00dull;
+    int decoded = 0;
+    for (int m = 0; m < 500; ++m) {
+        std::vector<uint8_t> mutant = corpus;
+        const size_t fence = fences[splitmix64(&rng) % fences.size()];
+        const int flips = 1 + int(splitmix64(&rng) % 3);
+        for (int f = 0; f < flips; ++f) {
+            const size_t at =
+                std::min(payload - 1, fence + splitmix64(&rng) % 96);
+            mutant[at] ^= uint8_t(1u << (splitmix64(&rng) % 8));
+        }
+        const uint64_t sum = snap::fnv1a(mutant.data(), payload);
+        for (int i = 0; i < 8; ++i)
+            mutant[payload + size_t(i)] =
+                uint8_t((sum >> (8 * i)) & 0xffu);
+
+        const Status s = eng.restoreSnapshot(mutant);
+        if (!s.isOk()) {
+            ASSERT_EQ(s.code(), ErrorCode::CorruptSnapshot)
+                << "mutant " << m << ": " << s.toString();
+            continue;
+        }
+        ++decoded;
+        ASSERT_TRUE(eng.saveSnapshot() == mutant)
+            << "mutant " << m << " decoded but re-encoded differently";
+    }
+    // Both outcomes must actually occur, or the sweep proves nothing.
+    EXPECT_GT(decoded, 0);
+    EXPECT_LT(decoded, 500);
 }
 
 } // namespace
