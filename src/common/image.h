@@ -12,6 +12,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/status.h"
+
 namespace eyecod {
 
 /** An axis-aligned integer rectangle (pixel units). */
@@ -28,6 +30,15 @@ struct Rect
     double cy() const { return y + height / 2.0; }
     /** Area in pixels. */
     long area() const { return long(width) * long(height); }
+
+    /** Snapshot field list. */
+    template <class Ar>
+    Status
+    fields(Ar &ar)
+    {
+        ar(x, y, width, height);
+        return ar.status();
+    }
 };
 
 /**

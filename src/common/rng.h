@@ -11,8 +11,11 @@
 #ifndef EYECOD_COMMON_RNG_H
 #define EYECOD_COMMON_RNG_H
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
+
+#include "common/status.h"
 
 namespace eyecod {
 
@@ -64,7 +67,23 @@ class Rng
     /** Access the underlying engine (e.g. for std::shuffle). */
     std::mt19937_64 &engine() { return engine_; }
 
+    /**
+     * Snapshot field list: the engine's stream position as its
+     * standard decimal text (one word per token, stable across
+     * platforms), so a restored stream continues from the exact draw.
+     */
+    template <class Ar>
+    Status
+    fields(Ar &ar)
+    {
+        ar.text(engine_, kMaxStateChars);
+        return ar.status();
+    }
+
   private:
+    /** mt19937_64 state text is ~6.3 KB; bound reads generously. */
+    static constexpr size_t kMaxStateChars = 1u << 15;
+
     std::mt19937_64 engine_;
 };
 

@@ -224,70 +224,45 @@ checkSeal(const uint8_t *data, size_t size)
     return payload;
 }
 
+template <bool Loading>
 void
-writeRect(SnapshotWriter &w, const Rect &rect)
+Archive<Loading>::image(Image &img, int max_extent)
 {
-    w.i32(rect.x);
-    w.i32(rect.y);
-    w.i32(rect.width);
-    w.i32(rect.height);
-}
-
-Result<Rect>
-readRect(SnapshotReader &r)
-{
-    auto x = r.i32();
-    auto y = r.i32();
-    auto width = r.i32();
-    auto height = r.i32();
-    if (!height.ok())
-        return height.status();
-    Rect rect;
-    rect.x = x.value();
-    rect.y = y.value();
-    rect.width = width.value();
-    rect.height = height.value();
-    return rect;
-}
-
-void
-writeImage(SnapshotWriter &w, const Image &img)
-{
-    w.i32(img.height());
-    w.i32(img.width());
-    for (float px : img.data())
-        w.f32(px);
-}
-
-Status
-readImage(SnapshotReader &r, Image *out, int max_extent)
-{
-    auto height = r.i32();
-    auto width = r.i32();
-    if (!width.ok())
-        return width.status();
-    const int h = height.value();
-    const int w = width.value();
-    if (h < 0 || w < 0 || h > max_extent || w > max_extent)
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "image extent %dx%d outside [0, %d]", h, w,
-                             max_extent);
-    // Every pixel is overwritten below; reject before sizing storage
-    // from untrusted extents larger than the remaining bytes could
-    // ever fill (4 bytes per pixel).
-    if (size_t(h) * size_t(w) * 4 > r.remaining())
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "image body %dx%d exceeds remaining bytes",
-                             h, w);
-    out->resetShape(h, w);
-    for (float &px : out->data()) {
-        auto v = r.f32();
-        if (!v.ok())
-            return v.status();
-        px = v.value();
+    int h = img.height();
+    int w = img.width();
+    field(h);
+    field(w);
+    if constexpr (Loading) {
+        if (!ok())
+            return;
+        if (h < 0 || w < 0 || h > max_extent || w > max_extent)
+            return latch(Status::error(ErrorCode::CorruptSnapshot,
+                                       "image extent %dx%d outside "
+                                       "[0, %d]",
+                                       h, w, max_extent));
+        // Every pixel is overwritten below; reject before sizing
+        // storage from untrusted extents larger than the remaining
+        // bytes could ever fill (4 bytes per pixel).
+        if (size_t(h) * size_t(w) * 4 > s_.remaining())
+            return latch(Status::error(ErrorCode::CorruptSnapshot,
+                                       "image body %dx%d exceeds "
+                                       "remaining bytes",
+                                       h, w));
+        img.resetShape(h, w);
+        for (float &px : img.data()) {
+            Result<float> v = s_.f32();
+            if (!v.ok())
+                return latch(v.status());
+            px = v.value();
+        }
+    } else {
+        for (float px : img.data())
+            s_.f32(px);
     }
-    return Status::ok();
 }
+
+template class Archive<false>;
+template class Archive<true>;
 
 } // namespace snap
 } // namespace eyecod

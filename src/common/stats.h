@@ -50,11 +50,9 @@ class RunningStat
     /** Largest sample (-inf when empty). */
     double max() const { return max_; }
 
-    /** Field-wise encode (bit-exact, including the Welford m2). */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
-
-    /** Field-wise decode; typed CorruptSnapshot on bad input. */
-    Status restoreSnapshot(snap::SnapshotReader &r);
+    /** Snapshot field list (bit-exact, including the Welford m2). */
+    template <class Ar>
+    Status fields(Ar &ar);
 
   private:
     uint64_t n_ = 0;
@@ -125,16 +123,15 @@ class StreamingHistogram
      */
     void merge(const StreamingHistogram &other);
 
-    /** Field-wise encode (bucket counts + exact min/max). */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
-
     /**
-     * Field-wise decode into this histogram. The snapshot's (lo, hi,
-     * buckets_per_decade) must match this instance's construction
-     * parameters — a mismatch is a CorruptSnapshot error, since the
-     * bucket geometry is part of the metric contract.
+     * Snapshot field list: bucket counts + exact min/max. The
+     * snapshot's (lo, hi, buckets_per_decade) must match this
+     * instance's construction parameters — a mismatch is a
+     * CorruptSnapshot error, since the bucket geometry is part of the
+     * metric contract.
      */
-    Status restoreSnapshot(snap::SnapshotReader &r);
+    template <class Ar>
+    Status fields(Ar &ar);
 
   private:
     /** Bucket index holding @p x (clamped to the edge buckets). */
@@ -145,9 +142,7 @@ class StreamingHistogram
     double lo_ = 1.0;
     double hi_ = 10.0;
     int per_decade_ = 32;
-    // detlint:allow(R12) derived from lo_ in the ctor; restore validates geometry.
     double log_lo_ = 0.0;
-    // detlint:allow(R12) derived from per_decade_ in the ctor; geometry-checked.
     double inv_log_step_ = 1.0; ///< Buckets per unit log10.
     std::vector<uint64_t> buckets_;
     uint64_t n_ = 0;

@@ -97,6 +97,18 @@ struct AccelHealth
     int retired_lanes = 0;           ///< Last-seen retired lane count.
     accel::EccCounters ecc;          ///< Accumulated ECC outcomes.
     ErrorCode last_error = ErrorCode::Ok; ///< Last typed failure.
+
+    /** Snapshot field list (error code range-checked on load). */
+    template <class Ar>
+    Status
+    fields(Ar &ar)
+    {
+        ar(frames, lane_fault_frames, stall_frames, schedule_timeouts,
+           lane_fault_errors, retired_lanes, ecc.corrected,
+           ecc.detected_uncorrectable, ecc.silent, ecc.overhead_cycles);
+        ar.range(last_error, 0, int(ErrorCode::VersionMismatch));
+        return ar.status();
+    }
 };
 
 /**
@@ -221,20 +233,15 @@ class EyeCoDSystem
     HealthReport healthReport() const;
 
     /**
-     * Serialize the serve-time state: the pipeline's per-sequence
-     * state graph plus the accelerator health counters. Trained
-     * estimators and configuration are construction inputs, not
-     * snapshot payload.
+     * Snapshot field list: the pipeline's per-sequence state graph
+     * plus the accelerator health counters. Trained estimators and
+     * configuration are construction inputs, not snapshot payload.
+     * Load requires a system built from the same configuration and
+     * re-captures the warning baseline (warn counters are
+     * process-global, and the restoring process has its own history).
      */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
-
-    /**
-     * Restore state saved by saveSnapshot() into a system built from
-     * the same configuration. The warning baseline is re-captured at
-     * restore time (warn counters are process-global, and the
-     * restoring process has its own history).
-     */
-    [[nodiscard]] Status restoreSnapshot(snap::SnapshotReader &r);
+    template <class Ar>
+    Status fields(Ar &ar);
 
     /** Simulate the accelerator on the deployment workload. */
     accel::PerfReport simulatePerformance() const;
@@ -287,7 +294,6 @@ class EyeCoDSystem
     }
 
   private:
-    // detlint:allow(R12) construction-time config; snapshots carry dynamic state.
     SystemConfig cfg_;
     std::unique_ptr<eyetrack::PredictThenFocusPipeline> pipe_;
     AccelHealth accel_health_;

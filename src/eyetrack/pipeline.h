@@ -96,6 +96,17 @@ struct HealthStats
     /** Injected fault events by FaultKind index. */
     std::array<long, flatcam::kNumFaultKinds> fault_counts{};
 
+    /** Snapshot field list. */
+    template <class Ar>
+    Status
+    fields(Ar &ar)
+    {
+        ar(frames, degraded_frames, dropped_frames, nonfinite_views,
+           shape_mismatches, roi_rejections, watchdog_retries,
+           gaze_holds, recoveries, sum_recovery_latency, fault_counts);
+        return ar.status();
+    }
+
     /** Mean degraded-streak length in frames (0 when none). */
     double
     meanRecoveryLatency() const
@@ -207,22 +218,18 @@ class PredictThenFocusPipeline
     void reset();
 
     /**
-     * Serialize the full per-sequence state — exactly the set
-     * reset() clears: ROI refresh phase, crop RNG, degradation FSM
-     * (fallback ROIs, held gaze, watchdog backoff, outage streak),
+     * Snapshot field list: the full per-sequence state — exactly the
+     * set reset() clears: ROI refresh phase, crop RNG, degradation
+     * FSM (fallback ROIs, held gaze, watchdog backoff, outage streak),
      * the last acquired view, health counters, and the sensor noise
      * stream position. The trained gaze estimator, mask, and
      * configuration are NOT captured: they are construction inputs a
-     * restoring process already holds.
+     * restoring process already holds. Load requires a pipeline built
+     * from the same configuration; on a typed failure the pipeline
+     * state is unspecified, so call reset() before reuse.
      */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
-
-    /**
-     * Restore the per-sequence state saved by saveSnapshot() into a
-     * pipeline built from the same configuration. On a typed failure
-     * the pipeline state is unspecified; call reset() before reuse.
-     */
-    [[nodiscard]] Status restoreSnapshot(snap::SnapshotReader &r);
+    template <class Ar>
+    Status fields(Ar &ar);
 
     /** Aggregate health counters since construction or reset(). */
     const HealthStats &healthStats() const { return health_stats_; }
@@ -270,18 +277,12 @@ class PredictThenFocusPipeline
     /** Centered roi_height x roi_width crop of the scene extent. */
     Rect centeredCrop() const;
 
-    // detlint:allow(R12) construction-time config; snapshots carry dynamic state.
     PipelineConfig cfg_;
-    // detlint:allow(R12) stateless stage, rebuilt from cfg_ at construction.
     ClassicalSegmenter segmenter_;
-    // detlint:allow(R12) stage state travels via the ROI fields below.
     RoiPredictor roi_;
-    // detlint:allow(R12) model fitted at construction from cfg_.
     RidgeGazeEstimator gaze_;
     std::unique_ptr<flatcam::FlatCamSensor> sensor_;
-    // detlint:allow(R12) rebuilt from calibration at construction.
     std::unique_ptr<flatcam::FlatCamReconstructor> recon_;
-    // detlint:allow(R12) fault schedule is config, replayed deterministically.
     std::unique_ptr<flatcam::FaultInjector> injector_;
 
     // Per-sequence ROI refresh state.
@@ -306,13 +307,9 @@ class PredictThenFocusPipeline
     // Frame spine: pooled per-frame scratch. The arena is epoch-reset
     // at the top of every frame; the member images reuse capacity, so
     // steady-state frames never touch the heap.
-    // detlint:allow(R12) pooled scratch, epoch-reset at the top of every frame.
     BufferArena arena_;
-    // detlint:allow(R12) per-frame scratch, repainted before first use.
     Image view_;       ///< Acquired (reconstructed) frame scratch.
-    // detlint:allow(R12) per-frame scratch, repainted before first use.
     Image meas_;       ///< FlatCam measurement scratch.
-    // detlint:allow(R12) last-frame output slot, overwritten next frame.
     FrameResult result_; ///< processFrameRef() result slot.
 };
 

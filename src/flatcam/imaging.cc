@@ -1,8 +1,7 @@
 #include "flatcam/imaging.h"
 
+#include <algorithm>
 #include <cmath>
-#include <random>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -73,41 +72,27 @@ FlatCamSensor::resetNoise()
 
 namespace {
 constexpr uint32_t kSensorNoiseTag = 0x534e5331; // "SNS1"
-/** mt19937_64 stream state text is ~6.3 KB; bound reads generously. */
-constexpr size_t kMaxEngineStateChars = 1u << 15;
 } // namespace
 
-void
-FlatCamSensor::saveNoiseState(snap::SnapshotWriter &w) const
+template <class Ar>
+Status
+FlatCamSensor::fields(Ar &ar)
 {
-    w.tag(kSensorNoiseTag);
-    // The standard serialization of the engine state: decimal words,
-    // space-separated. Field-wise (one engine word per token), stable
-    // across platforms, and checkable on restore.
-    std::ostringstream os;
-    os << rng_.engine();
-    w.str(os.str());
+    ar.tag(kSensorNoiseTag);
+    ar(rng_);
+    ar.derived(mask_);     // optics, fixed at construction
+    ar.derived(phi_r_t_);  // cache of mask_
+    ar.derived(noise_);    // noise model config (the seed)
+    ar.derived(injector_); // non-owning wiring, reattached by the owner
+    // Per-frame forward-model scratch, rewarmed on the next capture.
+    ar.derived(scene_mat_);
+    ar.derived(left_prod_);
+    ar.derived(measurement_);
+    return ar.status();
 }
 
-Status
-FlatCamSensor::restoreNoiseState(snap::SnapshotReader &r)
-{
-    Status fence = r.expectTag(kSensorNoiseTag);
-    if (!fence.isOk())
-        return fence;
-    auto text = r.str(kMaxEngineStateChars);
-    if (!text.ok())
-        return text.status();
-    std::istringstream is(text.value());
-    // detlint:allow(R1) restoring the seeded Rng's own engine state
-    std::mt19937_64 engine;
-    is >> engine;
-    if (is.fail())
-        return Status::error(ErrorCode::CorruptSnapshot,
-                             "unparsable sensor RNG stream state");
-    rng_.engine() = engine;
-    return Status::ok();
-}
+template Status FlatCamSensor::fields(snap::SaveArchive &);
+template Status FlatCamSensor::fields(snap::LoadArchive &);
 
 void
 FlatCamSensor::multiplexInto(ImageConstView scene, Image *out) const

@@ -97,17 +97,14 @@ class FlatCamSensor
     void resetNoise();
 
     /**
-     * Serialize the noise RNG's stream position — the only mutable
-     * state a sensor carries that the seed alone cannot rebuild. A
-     * restored sensor continues the read/shot-noise stream from the
-     * exact draw the snapshot was taken at (bitwise replay across a
-     * checkpoint boundary).
+     * Snapshot field list: the noise RNG's stream position — the only
+     * mutable state a sensor carries that the seed alone cannot
+     * rebuild. A restored sensor continues the read/shot-noise stream
+     * from the exact draw the snapshot was taken at (bitwise replay
+     * across a checkpoint boundary).
      */
-    void saveNoiseState(snap::SnapshotWriter &w) const;
-
-    /** Restore the noise RNG stream position; typed errors on
-     *  corrupt input. */
-    Status restoreNoiseState(snap::SnapshotReader &r);
+    template <class Ar>
+    Status fields(Ar &ar);
 
     /** The mask in use. */
     const SeparableMask &mask() const { return mask_; }
@@ -124,14 +121,10 @@ class FlatCamSensor
     /** The noisy forward model, shared by both capture paths. */
     void multiplexInto(ImageConstView scene, Image *out) const;
 
-    // detlint:allow(R12) optics config, fixed at construction.
     SeparableMask mask_;
-    // detlint:allow(R12) cache of mask_, recomputed at construction.
     Matrix phi_r_t_; ///< PhiR^T, cached at construction.
-    // detlint:allow(R12) noise model config; rng_ carries the dynamic state.
     SensorNoise noise_;
     mutable Rng rng_;
-    // detlint:allow(R12) non-owning wiring, reattached by the owner.
     const FaultInjector *injector_ = nullptr;
 
     // Per-frame forward-model scratch, warmed on the first capture
@@ -139,11 +132,8 @@ class FlatCamSensor
     // capture is logically const, the scratch is not observable
     // state. A sensor is owned by one pipeline and never shared
     // across threads (the RNG already forbids that).
-    // detlint:allow(R12) per-frame scratch, rewarmed on first capture.
     mutable Matrix scene_mat_;  ///< x (scene as doubles).
-    // detlint:allow(R12) per-frame scratch, rewarmed on first capture.
     mutable Matrix left_prod_;  ///< PhiL * x.
-    // detlint:allow(R12) per-frame scratch, rewarmed on first capture.
     mutable Matrix measurement_; ///< (PhiL * x) * PhiR^T, then noise.
 };
 

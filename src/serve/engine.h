@@ -197,6 +197,16 @@ struct CompletionRecord
     double latency_us = 0.0;
     bool redispatched = false; ///< Survived >= 1 chip failure.
     bool deadline_miss = false;
+
+    /** Snapshot field list. */
+    template <class Ar>
+    Status
+    fields(Ar &ar)
+    {
+        ar(session, frame_index, arrival_us, completion_us, latency_us,
+           redispatched, deadline_miss);
+        return ar.status();
+    }
 };
 
 /**
@@ -370,6 +380,11 @@ class ServingEngine
      */
     [[nodiscard]] Status restoreSnapshot(
         const std::vector<uint8_t> &data);
+
+    /** The snapshot field list behind saveSnapshot / restoreSnapshot
+     *  (between the header and the seal). */
+    template <class Ar>
+    Status fields(Ar &ar);
 
   private:
     /** One dispatched frame in flight through a tick. */

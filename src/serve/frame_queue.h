@@ -48,6 +48,17 @@ struct FrameTicket
     long frame_index = 0;        ///< Per-session monotone index.
     long long arrival_us = 0;    ///< Virtual arrival timestamp.
     dataset::EyeParams params;   ///< Scene to render when dispatched.
+
+    /** Snapshot field list (identity, arrival, scene params). */
+    template <class Ar>
+    Status
+    fields(Ar &ar)
+    {
+        ar(frame_index, arrival_us, params.yaw_deg, params.pitch_deg,
+           params.eye_cy, params.eye_cx, params.eye_radius,
+           params.pupil_scale, params.eyelid_open);
+        return ar.status();
+    }
 };
 
 /** Why a frame was shed (drop accounting is broken out by reason). */
@@ -71,19 +82,17 @@ struct DropRecord
     long long arrival_us = 0; ///< When it arrived.
     long long dropped_us = 0; ///< When the eviction happened.
     DropReason reason = DropReason::Backpressure;
+
+    /** Snapshot field list (reason validated against the enum). */
+    template <class Ar>
+    Status
+    fields(Ar &ar)
+    {
+        ar(frame_index, arrival_us, dropped_us);
+        ar.range(reason, uint8_t(0), uint8_t(kNumDropReasons - 1));
+        return ar.status();
+    }
 };
-
-/** Encode one ticket field-wise (identity, arrival, scene params). */
-void writeTicket(snap::SnapshotWriter &w, const FrameTicket &ticket);
-
-/** Decode one ticket. */
-Result<FrameTicket> readTicket(snap::SnapshotReader &r);
-
-/** Encode one drop record field-wise. */
-void writeDropRecord(snap::SnapshotWriter &w, const DropRecord &rec);
-
-/** Decode one drop record (reason validated against the enum). */
-Result<DropRecord> readDropRecord(snap::SnapshotReader &r);
 
 /**
  * Bounded SPSC frame queue with drop-oldest backpressure.
@@ -128,15 +137,14 @@ class BoundedFrameQueue
     /** Largest depth ever observed. */
     size_t maxDepth() const;
 
-    /** Serialize the queued tickets (oldest first) + counters. */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
-
     /**
-     * Restore into a queue of the same capacity; the snapshot's
-     * capacity is validated, queued tickets land at the front of the
-     * ring (head 0), and the counters resume exactly.
+     * Snapshot field list: the queued tickets (oldest first) +
+     * counters. Load requires the same capacity, lands the tickets at
+     * the front of the ring (head 0), and resumes the counters
+     * exactly.
      */
-    [[nodiscard]] Status restoreSnapshot(snap::SnapshotReader &r);
+    template <class Ar>
+    Status fields(Ar &ar);
 
   private:
     mutable Mutex mutex_;

@@ -133,18 +133,16 @@ class FleetHealthController
     const HealthControllerConfig &config() const { return cfg_; }
 
     /**
-     * Serialize the ladder position and both hysteresis streaks — a
-     * restored controller continues its residency counters and
-     * escalation/de-escalation windows exactly where the snapshot
-     * left them (a mid-ladder checkpoint must not re-arm hysteresis).
+     * Snapshot field list: the ladder position and both hysteresis
+     * streaks (range-checked on load) — a restored controller
+     * continues its residency counters and escalation/de-escalation
+     * windows exactly where the snapshot left them (a mid-ladder
+     * checkpoint must not re-arm hysteresis).
      */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
-
-    /** Restore ladder state; tier and streaks are range-checked. */
-    [[nodiscard]] Status restoreSnapshot(snap::SnapshotReader &r);
+    template <class Ar>
+    Status fields(Ar &ar);
 
   private:
-    // detlint:allow(R12) construction-time config; snapshots carry ladder state.
     HealthControllerConfig cfg_;
     int tier_ = 0;
     int above_ticks_ = 0; ///< Consecutive ticks above next engage.

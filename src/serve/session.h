@@ -154,19 +154,15 @@ class Session
     }
 
     /**
-     * Serialize the session's full serve-time state: liveness,
-     * metrics (counters, latency stat + histogram, bounded drop
-     * log), gaze stream (record_gaze only), the wrapped system's
-     * pipeline FSM, and the queued frame tickets.
+     * Snapshot field list: the session's full serve-time state —
+     * liveness, metrics (counters, latency stat + histogram, bounded
+     * drop log), gaze stream (record_gaze only), the wrapped system's
+     * pipeline FSM, and the queued frame tickets. Load requires a
+     * session constructed with the same id and configuration (the
+     * engine rebuilds sessions from config before restoring).
      */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
-
-    /**
-     * Restore into a session constructed with the same id and
-     * configuration (the engine rebuilds sessions from config before
-     * restoring). Typed errors on any mismatch or corrupt field.
-     */
-    [[nodiscard]] Status restoreSnapshot(snap::SnapshotReader &r);
+    template <class Ar>
+    Status fields(Ar &ar);
 
   private:
     int id_;
@@ -180,14 +176,11 @@ class Session
     std::vector<dataset::GazeVec> gaze_log_;
     /** Persistent render target: renderInto() reuses its storage, so
      *  steady-state serving allocates nothing for the scene. */
-    // detlint:allow(R12) persistent render target, repainted every frame.
     dataset::EyeSample sample_;
     /** Tier-2 scratch: half-resolution + restored scenes. Both reuse
      *  their storage, so degraded steady frames stay zero-alloc after
      *  the first downgrade transition. */
-    // detlint:allow(R12) tier-2 scratch, repainted before first use.
     Image lowres_;
-    // detlint:allow(R12) tier-2 scratch, repainted before first use.
     Image restored_;
     /** Previous frame's resolution mode, to classify downgrade /
      *  recover transition frames out of the steady-alloc bucket. */

@@ -45,6 +45,7 @@
 #ifndef EYECOD_SERVE_VIRTUAL_ACCEL_H
 #define EYECOD_SERVE_VIRTUAL_ACCEL_H
 
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -68,6 +69,15 @@ struct ServiceModel
     double amortized_frame_us = 0.0;
     /** Single-chip steady throughput, frames per second. */
     double chip_fps = 0.0;
+
+    /** Snapshot field list. */
+    template <class Ar>
+    Status
+    fields(Ar &ar)
+    {
+        ar(gaze_frame_us, seg_frame_us, amortized_frame_us, chip_fps);
+        return ar.status();
+    }
 };
 
 /**
@@ -251,21 +261,17 @@ class VirtualAccelPool
     double totalBusyUs() const { return total_busy_us_; }
 
     /**
-     * Serialize chip lifecycle state: per-chip liveness/usability,
-     * retired lanes, busy horizon, and (possibly degraded) service
-     * model, plus the busy accounting and the fault-schedule cursor.
-     * The schedule itself is configuration (installed via
+     * Snapshot field list: per-chip liveness/usability, retired
+     * lanes, busy horizon, and (possibly degraded) service model,
+     * plus the busy accounting and the fault-schedule cursor. The
+     * schedule itself is configuration (installed via
      * setFaultSchedule); only its length rides along for validation.
+     * Load requires the same chip count and fault schedule; the
+     * cursor re-enters mid-schedule, so events already applied before
+     * the snapshot are never replayed and pending ones still fire.
      */
-    void saveSnapshot(snap::SnapshotWriter &w) const;
-
-    /**
-     * Restore into a pool built with the same chip count and fault
-     * schedule. The cursor re-enters mid-schedule: events already
-     * applied before the snapshot are never replayed, pending ones
-     * still fire. Typed errors on any mismatch.
-     */
-    [[nodiscard]] Status restoreSnapshot(snap::SnapshotReader &r);
+    template <class Ar>
+    Status fields(Ar &ar);
 
   private:
     struct ChipState
@@ -275,6 +281,16 @@ class VirtualAccelPool
         int retired_lanes = 0;
         long long busy_until_us = 0;
         ServiceModel model; ///< Degraded once lanes retire.
+
+        template <class Ar>
+        Status
+        fields(Ar &ar)
+        {
+            ar(alive, usable);
+            ar.range(retired_lanes, 0, std::numeric_limits<int>::max());
+            ar(busy_until_us, model);
+            return ar.status();
+        }
     };
 
     /**
@@ -284,7 +300,6 @@ class VirtualAccelPool
     const ServiceModel *degradedModel(int retired);
 
     ServiceModel model_;
-    // detlint:allow(R12) construction-time config, not snapshot state.
     double batch_fraction_;
     std::vector<ChipState> state_;
     double total_busy_us_ = 0.0;
@@ -292,14 +307,10 @@ class VirtualAccelPool
     std::vector<ChipFaultEvent> schedule_;
     size_t next_event_ = 0;
 
-    // detlint:allow(R12) re-established by provisionHardware() on rebuild.
     bool have_hardware_ = false;
-    // detlint:allow(R12) re-established by provisionHardware() on rebuild.
     accel::PipelineWorkloadConfig workload_;
-    // detlint:allow(R12) re-established by provisionHardware() on rebuild.
     accel::HwConfig hw_;
     /** retired-lane count -> re-derived model (ordered: replayable). */
-    // detlint:allow(R12) memo cache, re-derived on demand after restore.
     std::map<int, ServiceModel> degraded_models_;
 };
 

@@ -416,55 +416,52 @@ TEST(DetlintR12, FailingFixtureCaughtAtExactLines)
 {
     const auto got =
         ruleLines(runOn("r12_fail.cc", "src/serve/r12_fail.cc"));
-    // Line 10: evictions_ saved but never restored; line 18: floor_
-    // restored but never saved; line 26: peak_depth_ covered by
-    // neither side.
-    const RL want = {{Rule::R12SnapshotCoverage, 10},
-                     {Rule::R12SnapshotCoverage, 18},
+    // Line 16: evictions_ missing from an in-class member-template
+    // field list; line 26: skew_ missing from an out-of-line one.
+    const RL want = {{Rule::R12SnapshotCoverage, 16},
                      {Rule::R12SnapshotCoverage, 26}};
     EXPECT_EQ(got, want);
 }
 
 TEST(DetlintR12, PassingFixtureIsSilent)
 {
-    // Symmetric codec, an allow-suppressed scratch field, a
-    // writer-only class (unchecked), and an accessor-only free codec
-    // pair (nothing to cross-check).
+    // Full coverage with an ar.derived member and a static, an
+    // out-of-line field list with explicit instantiations, a class
+    // with no field list, and a declared-only field list.
     EXPECT_TRUE(runOn("r12_pass.cc", "src/serve/r12_pass.cc").empty());
 }
 
 TEST(DetlintR12, CrossFileCodecBodiesAreIndexed)
 {
-    // The class lives in a header; its codec bodies live out-of-line
-    // in a .cc. Only a repo-wide index can pair them.
+    // The class lives in a header; its member-template field list is
+    // defined out of line in a .cc. Only a repo-wide index can pair
+    // them: skew_ is listed there (silent), lag_ is not (flagged at
+    // its declaration in the header).
     const std::string header =
         "struct Meter\n"
         "{\n"
-        "    void saveSnapshot(SnapshotWriter &w) const;\n"
-        "    Status restoreSnapshot(SnapshotReader &r);\n"
+        "    template <class Ar>\n"
+        "    Status fields(Ar &ar);\n"
         "    long ticks_ = 0;\n"
         "    long skew_ = 0;\n"
+        "    long lag_ = 0;\n"
         "};\n";
     const std::string impl =
-        "void\n"
-        "Meter::saveSnapshot(SnapshotWriter &w) const\n"
+        "template <class Ar>\n"
+        "Status\n"
+        "Meter::fields(Ar &ar)\n"
         "{\n"
-        "    w.i64(ticks_);\n"
-        "    w.i64(skew_);\n"
+        "    ar(ticks_, skew_);\n"
+        "    return ar.status();\n"
         "}\n"
         "\n"
-        "Status\n"
-        "Meter::restoreSnapshot(SnapshotReader &r)\n"
-        "{\n"
-        "    ticks_ = r.i64();\n"
-        "    return Status::ok();\n"
-        "}\n";
+        "template Status Meter::fields(SaveArchive &);\n";
     const auto findings = analyzeSources(
         {{"src/serve/meter.h", header}, {"src/serve/meter.cc", impl}});
     ASSERT_EQ(findings.size(), 1u);
     EXPECT_EQ(findings[0].rule, Rule::R12SnapshotCoverage);
-    EXPECT_EQ(findings[0].file, "src/serve/meter.cc");
-    EXPECT_EQ(findings[0].line, 5); // w.i64(skew_): never restored
+    EXPECT_EQ(findings[0].file, "src/serve/meter.h");
+    EXPECT_EQ(findings[0].line, 7); // lag_: in no field list
 }
 
 TEST(DetlintTree, FixtureDirectoryReproducesFindings)

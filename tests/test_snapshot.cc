@@ -12,6 +12,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/rng.h"
 #include "common/snapshot.h"
 #include "common/stats.h"
 
@@ -207,23 +208,23 @@ TEST(SnapshotSeal, DetectsEveryBitFlipAndTruncation)
 TEST(SnapshotComponents, RectAndImageRoundTrip)
 {
     SnapshotWriter w;
-    writeRect(w, Rect{3, -4, 17, 29});
+    save(w, Rect{3, -4, 17, 29});
     Image img;
     img.resetShape(5, 7);
     for (int y = 0; y < 5; ++y)
         for (int x = 0; x < 7; ++x)
             img.at(y, x) = float(y * 7 + x) * 0.25f;
-    writeImage(w, img);
+    save(w, img);
 
     SnapshotReader r(w.bytes());
-    const Result<Rect> rect = readRect(r);
-    ASSERT_TRUE(rect.ok());
-    EXPECT_EQ(rect.value().x, 3);
-    EXPECT_EQ(rect.value().y, -4);
-    EXPECT_EQ(rect.value().width, 17);
-    EXPECT_EQ(rect.value().height, 29);
+    Rect rect;
+    ASSERT_TRUE(restore(r, rect).isOk());
+    EXPECT_EQ(rect.x, 3);
+    EXPECT_EQ(rect.y, -4);
+    EXPECT_EQ(rect.width, 17);
+    EXPECT_EQ(rect.height, 29);
     Image out;
-    ASSERT_TRUE(readImage(r, &out).isOk());
+    ASSERT_TRUE(restore(r, out).isOk());
     ASSERT_EQ(out.height(), 5);
     ASSERT_EQ(out.width(), 7);
     for (int y = 0; y < 5; ++y)
@@ -241,7 +242,7 @@ TEST(SnapshotComponents, HostileImageExtentsAreCorrupt)
     w.i32(1 << 20);
     Image out;
     SnapshotReader r(w.bytes());
-    const Status s = readImage(r, &out);
+    const Status s = restore(r, out);
     ASSERT_FALSE(s.isOk());
     EXPECT_EQ(s.code(), ErrorCode::CorruptSnapshot);
 
@@ -252,9 +253,37 @@ TEST(SnapshotComponents, HostileImageExtentsAreCorrupt)
     t.i32(100);
     t.f32(1.0f);
     SnapshotReader r2(t.bytes());
-    const Status s2 = readImage(r2, &out);
+    const Status s2 = restore(r2, out);
     ASSERT_FALSE(s2.isOk());
     EXPECT_EQ(s2.code(), ErrorCode::CorruptSnapshot);
+}
+
+TEST(SnapshotComponents, RngStreamRoundTripsAndRejectsNonCanonicalText)
+{
+    Rng rng(42);
+    for (int i = 0; i < 10; ++i)
+        rng.uniform();
+    SnapshotWriter w;
+    save(w, rng);
+
+    Rng back(7);
+    SnapshotReader r(w.bytes());
+    ASSERT_TRUE(restore(r, back).isOk());
+    EXPECT_TRUE(r.expectEnd().isOk());
+    EXPECT_EQ(back.uniform(), rng.uniform());
+
+    // "0" + the same words parses to the same engine state but would
+    // re-encode without the zero: a decoded snapshot must re-emit its
+    // own bytes, so the non-canonical spelling is corrupt.
+    SnapshotReader text(w.bytes());
+    Result<std::string> state = text.str(1u << 15);
+    ASSERT_TRUE(state.ok());
+    SnapshotWriter padded;
+    padded.str("0" + state.value());
+    SnapshotReader pr(padded.bytes());
+    const Status s = restore(pr, back);
+    ASSERT_FALSE(s.isOk());
+    EXPECT_EQ(s.code(), ErrorCode::CorruptSnapshot);
 }
 
 TEST(SnapshotComponents, RunningStatRoundTrip)
@@ -263,11 +292,11 @@ TEST(SnapshotComponents, RunningStatRoundTrip)
     for (int i = 0; i < 100; ++i)
         st.add(double(i) * 0.37 - 5.0);
     SnapshotWriter w;
-    st.saveSnapshot(w);
+    save(w, st);
 
     RunningStat back;
     SnapshotReader r(w.bytes());
-    ASSERT_TRUE(back.restoreSnapshot(r).isOk());
+    ASSERT_TRUE(restore(r, back).isOk());
     EXPECT_EQ(back.count(), st.count());
     EXPECT_EQ(back.mean(), st.mean());
     EXPECT_EQ(back.stddev(), st.stddev());
@@ -288,11 +317,11 @@ TEST(SnapshotComponents, StreamingHistogramRoundTrip)
     for (int i = 1; i < 500; ++i)
         h.add(double(i) * 13.7);
     SnapshotWriter w;
-    h.saveSnapshot(w);
+    save(w, h);
 
     StreamingHistogram back(1.0, 1e8);
     SnapshotReader r(w.bytes());
-    ASSERT_TRUE(back.restoreSnapshot(r).isOk());
+    ASSERT_TRUE(restore(r, back).isOk());
     EXPECT_EQ(back.p50(), h.p50());
     EXPECT_EQ(back.p99(), h.p99());
     EXPECT_EQ(back.quantile(0.999), h.quantile(0.999));
@@ -307,13 +336,13 @@ TEST(SnapshotComponents, HistogramGeometryMismatchIsCorrupt)
     StreamingHistogram h(1.0, 1e8);
     h.add(100.0);
     SnapshotWriter w;
-    h.saveSnapshot(w);
+    save(w, h);
 
     // A histogram with different bucket geometry must refuse the
     // snapshot instead of silently reinterpreting bucket counts.
     StreamingHistogram other(1.0, 1e6);
     SnapshotReader r(w.bytes());
-    const Status s = other.restoreSnapshot(r);
+    const Status s = restore(r, other);
     ASSERT_FALSE(s.isOk());
     EXPECT_EQ(s.code(), ErrorCode::CorruptSnapshot);
 }

@@ -33,7 +33,7 @@ allRules()
         {Rule::R11ViewEscape, "R11", "view-escape",
          "arena view stored where it outlives its epoch"},
         {Rule::R12SnapshotCoverage, "R12", "snapshot-coverage",
-         "snapshot writer/reader field sets drift"},
+         "member missing from a snapshot field list"},
         {Rule::H1HeaderSelfContained, "H1", "header-self-contained",
          "header fails to compile standalone"},
     };

@@ -1,58 +1,57 @@
-// R12 fixture (pass): symmetric codecs, suppression, and near-misses.
+// R12 fixture (pass): full coverage, derived members, near-misses.
 
 struct Gauge
 {
-    void
-    saveSnapshot(SnapshotWriter &w) const
-    {
-        w.u64(total_);
-        w.f64(rate_);
-    }
-
+    template <class Ar>
     Status
-    restoreSnapshot(SnapshotReader &r)
+    fields(Ar &ar)
     {
-        total_ = r.u64();
-        rate_ = r.f64();
-        return Status::ok();
+        ar.tag(0x47415531);
+        ar(total_, rate_);
+        ar.derived(scratch_); // accumulator, rebuilt on the next tick
+        return ar.status();
     }
 
     unsigned long total_ = 0;
     double rate_ = 0.0;
-    // detlint:allow(R12) scratch accumulator, rebuilt on the next tick.
     double scratch_ = 0.0;
+    static int instances_; // static: not per-object state
 };
 
-struct WriteOnlyLog
+// Out-of-line field list plus its explicit instantiations.
+struct Window
 {
-    void
-    saveSnapshot(SnapshotWriter &w) const // no reader: not checked
-    {
-        w.u64(lines_);
-    }
+    template <class Ar>
+    Status fields(Ar &ar);
 
+    int lo_ = 0;
+    int hi_ = 0;
+};
+
+template <class Ar>
+Status
+Window::fields(Ar &ar)
+{
+    ar.expect(lo_);
+    ar.range(hi_, 0, 64);
+    return ar.status();
+}
+
+template Status Window::fields(SaveArchive &);
+template Status Window::fields(LoadArchive &);
+
+// No field list: not persisted, not checked.
+struct Plain
+{
     unsigned long lines_ = 0;
 };
 
-struct Opaque
+// A field list declared but never defined in the scanned files
+// carries no body to check.
+struct Declared
 {
-    unsigned long value() const;
-    void setValue(unsigned long v);
-    unsigned long raw_ = 0;
+    template <class Ar>
+    Status fields(Ar &ar);
+
+    long a_ = 0;
 };
-
-// Accessor-only free codec pair: neither side references a field
-// directly, so there is nothing to cross-check.
-void
-writeOpaque(SnapshotWriter &w, const Opaque &x)
-{
-    w.u64(x.value());
-}
-
-Result<Opaque>
-readOpaque(SnapshotReader &r)
-{
-    Opaque x;
-    x.setValue(r.u64());
-    return x;
-}

@@ -579,7 +579,8 @@ class FileParser
                 continue;
             }
             const Stmt s = parseStatement(i, end);
-            if (s.kind == Stmt::Func && s.body_end > s.body_begin) {
+            if (s.kind == Stmt::Func && s.body_end > s.body_begin &&
+                !s.qual_chain.empty()) {
                 MemberFunc fn;
                 fn.name = s.name;
                 fn.file = file;
@@ -590,26 +591,16 @@ class FileParser
                 fn.body_end = s.body_end;
                 fn.requires_caps = s.requires_caps;
                 fn.ctor_dtor = s.tilde;
-                if (!s.qual_chain.empty()) {
-                    PendingDef pd;
-                    for (const std::string &q : s.qual_chain) {
-                        if (!pd.qualifier.empty())
-                            pd.qualifier += "::";
-                        pd.qualifier += q;
-                    }
-                    pd.fn = fn;
-                    pending->push_back(pd);
-                } else {
-                    FreeFunc ff;
-                    ff.name = fn.name;
-                    ff.file = file;
-                    ff.line = fn.line;
-                    ff.sig_begin = fn.sig_begin;
-                    ff.sig_end = fn.sig_end;
-                    ff.body_begin = fn.body_begin;
-                    ff.body_end = fn.body_end;
-                    ix->free_funcs.push_back(ff);
+                // Out-of-line `Class::method` definition: resolved to
+                // its class once every file is indexed.
+                PendingDef pd;
+                for (const std::string &q : s.qual_chain) {
+                    if (!pd.qualifier.empty())
+                        pd.qualifier += "::";
+                    pd.qualifier += q;
                 }
+                pd.fn = fn;
+                pending->push_back(pd);
             }
             i = s.next > i ? s.next : i + 1;
         }

@@ -8,10 +8,8 @@
  * stream once and records, per class: the data members (with their
  * EYECOD_GUARDED_BY annotations and flattened type text), and the
  * member-function bodies as token ranges — including out-of-line
- * `Class::method` definitions in other files, matched back to the
- * declaring class by qualifier suffix. Free functions keep their
- * signature and body ranges too, so codec pairs written as free
- * functions (writeTicket/readTicket) participate in R12.
+ * `Class::method` definitions in other files (member templates
+ * included), matched back to the declaring class by qualifier suffix.
  *
  * The index is built from the comment- and preprocessor-free token
  * stream (SourceFile::code), so `#define EYECOD_GUARDED_BY(x)` in a
@@ -162,21 +160,10 @@ struct ClassInfo
     }
 };
 
-/** One free (namespace-scope) function definition. */
-struct FreeFunc
-{
-    std::string name;
-    size_t file = 0;
-    int line = 0;
-    size_t sig_begin = 0, sig_end = 0;
-    size_t body_begin = 0, body_end = 0;
-};
-
 /** The repo-wide declaration index (phase 1 output). */
 struct DeclIndex
 {
     std::vector<ClassInfo> classes;
-    std::vector<FreeFunc> free_funcs;
 
     /**
      * Class whose scope chain matches @p qualifier — exactly, or as

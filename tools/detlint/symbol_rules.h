@@ -18,15 +18,14 @@
  *      function returning a reference to a view, or a member
  *      assigned from an arena allocation — dangles at the next
  *      arena reset. Scoped to the frame-spine dirs + src/core/.
- *  R12 snapshot-coverage: for every class with both a snapshot
- *      writer (save.. or write.. taking a SnapshotWriter) and a
- *      reader (restore.. or read.. taking a SnapshotReader), the
- *      member sets the
- *      two sides reference must agree, and together they must cover
- *      every declared field; a field the writer saves but no reader
- *      restores (or vice versa) is format drift that silently loses
- *      state across checkpoint/restore. Free codec functions are
- *      paired to their class through the parameter list.
+ *  R12 snapshot-coverage: every non-static data member of a class
+ *      with a snapshot field list (a `fields` member function body,
+ *      in-class or out-of-line in any file) must appear in that body
+ *      — as an archived field, or through `ar.derived(member)` with
+ *      the reason it is rebuilt instead of saved. A member added to
+ *      a persisted class without a decision is state that silently
+ *      vanishes across checkpoint/restore. Writer/reader symmetry
+ *      needs no check: one field list drives both directions.
  *
  * All three rules run over the DeclIndex (index.h) and honor the
  * same detlint:allow suppression comments as the per-line rules,
