@@ -12,11 +12,15 @@
  * Besides the console table, per-stage latencies are merged into
  * BENCH_runtime.json (section "micro_stages", milliseconds per
  * iteration) — the same machine-readable store bench_runtime writes
- * its backend comparison into.
+ * its backend comparison into. An optional positional argument names
+ * another file, as for bench_runtime:
+ *
+ *     bench_micro_stages [--benchmark_* flags] [out.json]
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -230,13 +234,21 @@ int
 main(int argc, char **argv)
 {
     benchmark::Initialize(&argc, argv);
+    // Optional positional output path, as bench_runtime takes it.
+    // Initialize() has removed its own flags; take the path out too
+    // before the leftover-argument check rejects it.
+    std::string json_path = "BENCH_runtime.json";
+    if (argc > 1 && argv[1][0] != '-') {
+        json_path = argv[1];
+        std::copy(argv + 2, argv + argc + 1, argv + 1);
+        --argc;
+    }
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
     CapturingReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
 
-    const std::string json_path = "BENCH_runtime.json";
     PerfJson json = PerfJson::load(json_path);
     for (const auto &[name, ms] : reporter.captured())
         json.set("micro_stages", name, ms);
